@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import oracle, reconstruct
 from .configuration import (
@@ -57,17 +56,6 @@ _INPUT_ERRORS = (
 )
 
 
-@dataclass
-class RunSpec:
-    command: str
-    inputs: tuple[str, ...] = ()
-    matrix: str | None = None
-    weight: str | None = None
-    point_a: str | None = None
-    point_b: str | None = None
-    use_oracle: bool = False
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eves",
@@ -110,27 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    inputs = tuple(
-        getattr(args, name) for name in ("input", "input_a", "input_b") if getattr(args, name, None)
-    )
-    return RunSpec(
-        command=args.command,
-        inputs=inputs,
-        matrix=getattr(args, "matrix", None),
-        weight=getattr(args, "weight", None),
-        point_a=getattr(args, "point_a", None),
-        point_b=getattr(args, "point_b", None),
-        use_oracle=getattr(args, "oracle", False),
-    )
-
-
 def _load_matrix(path: str) -> LinearMorphism:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"{path}: JSON nests too deeply") from None
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise ConfigurationError(f"{path}: matrix must be a non-empty array of rows")
     rows = []
@@ -188,38 +163,37 @@ def _recount_degrees(cfg: Configuration) -> bool:
     return True
 
 
-def run(spec: RunSpec, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def run(args: argparse.Namespace) -> int:
+    out = sys.stdout
 
     def mismatch(message: str) -> int:
-        print(f"oracle mismatch: {message}", file=err)
+        print(f"oracle mismatch: {message}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
 
-    if spec.command == "validate":
-        cfg = load_configuration(spec.inputs[0])
-        weight = parse_weight(spec.weight) if spec.weight else None
+    if args.command == "validate":
+        cfg = load_configuration(args.input)
+        weight = parse_weight(args.weight) if args.weight else None
         report = validate_h(cfg, weight)
         out.write(_render_report(report))
-        if spec.use_oracle and not _recount_degrees(cfg):
+        if args.oracle and not _recount_degrees(cfg):
             return mismatch("degree recount disagrees with the report")
         return EXIT_OK if report.h_valid else EXIT_NEGATIVE
 
-    if spec.command == "invariant":
-        cfg = load_configuration(spec.inputs[0])
+    if args.command == "invariant":
+        cfg = load_configuration(args.input)
         value = eves_invariant(cfg)
         out.write(f"E_p = {value.point}\n")
-        if spec.use_oracle and not _oracle_invariant_matches(cfg):
+        if args.oracle and not _oracle_invariant_matches(cfg):
             return mismatch("brute-force invariant differs")
         return EXIT_OK
 
-    if spec.command == "reconstruct":
-        cfg = load_configuration(spec.inputs[0])
-        vector = reconstruct.reconstruction_vector(cfg)
+    if args.command == "reconstruct":
+        cfg = load_configuration(args.input)
         full = eves_invariant(cfg).point
-        identity_ok = reconstruct.check_reconstruction_identity(cfg)
+        vector = reconstruct.projection_vector(full)
+        identity_ok = reconstruct.check_reconstruction_identity(cfg, full)
         out.write(reconstruct.render_reconstruction(vector, full, identity_ok))
-        if spec.use_oracle:
+        if args.oracle:
             for (i, j), entry in zip(vector.pairs, vector.entries):
                 expansion = reconstruct.unit_weight_expansion(
                     reconstruct.restrict_pair(cfg, i, j)
@@ -230,12 +204,12 @@ def run(spec: RunSpec, out=None, err=None) -> int:
                 return mismatch("brute-force invariant differs")
         return EXIT_OK if identity_ok else EXIT_NEGATIVE
 
-    if spec.command == "compare":
-        cfg_a = load_configuration(spec.inputs[0])
-        cfg_b = load_configuration(spec.inputs[1])
+    if args.command == "compare":
+        cfg_a = load_configuration(args.input_a)
+        cfg_b = load_configuration(args.input_b)
         report = reconstruct.compare(cfg_a, cfg_b)
         out.write(reconstruct.render_compare(report))
-        if spec.use_oracle:
+        if args.oracle:
             brute_ep = wps_equivalent(
                 oracle.brute_invariant(cfg_a).point, oracle.brute_invariant(cfg_b).point
             )
@@ -245,32 +219,32 @@ def run(spec: RunSpec, out=None, err=None) -> int:
             return EXIT_OK
         return EXIT_NEGATIVE if report.reconstruction_equal else EXIT_DISTINGUISHABLE
 
-    if spec.command == "transform":
-        cfg = load_configuration(spec.inputs[0])
-        morphism = _load_matrix(spec.matrix)
+    if args.command == "transform":
+        cfg = load_configuration(args.input)
+        morphism = _load_matrix(args.matrix)
         image = apply_morphism(cfg, morphism)
         out.write(configuration_to_json(image))
-        if spec.use_oracle and not _oracle_invariant_matches(image):
+        if args.oracle and not _oracle_invariant_matches(image):
             return mismatch("brute-force invariant of the image differs")
         return EXIT_OK
 
-    if spec.command == "wps-equiv":
-        weight = parse_weight(spec.weight)
-        z = _parse_point(weight, spec.point_a)
-        w = _parse_point(weight, spec.point_b)
+    if args.command == "wps-equiv":
+        weight = parse_weight(args.weight)
+        z = _parse_point(weight, args.point_a)
+        w = _parse_point(weight, args.point_b)
         verdict = wps_equivalent(z, w)
         out.write("true\n" if verdict else "false\n")
-        if spec.use_oracle:
+        if args.oracle:
             brute = oracle.bounded_lambda_search(z, w, oracle.SearchBound())
             if brute != verdict:
                 return mismatch("bounded scalar search verdict differs")
         return EXIT_OK if verdict else EXIT_NEGATIVE
 
-    if spec.command == "witness":
-        weight = parse_weight(spec.weight)
+    if args.command == "witness":
+        weight = parse_weight(args.weight)
         z, w = nonreconstructible_witness(weight)
         out.write(f"{z}\n{w}\n")
-        if spec.use_oracle:
+        if args.oracle:
             images_equal = all(
                 wps_equivalent(a, b) for a, b in zip(product_map(z), product_map(w))
             )
@@ -279,15 +253,14 @@ def run(spec: RunSpec, out=None, err=None) -> int:
                 return mismatch("witness pair fails the brute-force checks")
         return EXIT_OK
 
-    raise ValueError(f"unknown command {spec.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    spec = _spec_from_args(args)
     try:
-        return run(spec)
+        return run(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -63,7 +63,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return linalg.coords_in_row_basis(self.basis, v) is not None
+        return linalg.echelon_coords(self.basis, v) is not None
 
     def __str__(self) -> str:
         rows = "; ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
@@ -83,9 +83,6 @@ class Configuration:
     colors: tuple[tuple[RTuple, ...], ...]
     points: dict[str, ProjPoint]
     spans: dict[RTuple, Subspace] = field(compare=False, repr=False, default_factory=dict)
-
-    def span_table(self) -> dict[RTuple, Subspace]:
-        return self.spans
 
     def all_tuples(self) -> Iterable[RTuple]:
         for color in self.colors:
@@ -342,6 +339,8 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         raise ConfigurationError(f"{source}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{source}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"{source}: JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{source}: top level must be an object")
 
@@ -357,7 +356,7 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         isinstance(p, int) and not isinstance(p, bool) for p in doc["weight"]
     ):
         raise fail("weight: must be a list of integers")
-    if not isinstance(doc["arity"], int) or not isinstance(doc["dim"], int):
+    if not all(isinstance(doc[k], int) and not isinstance(doc[k], bool) for k in ("arity", "dim")):
         raise fail("arity/dim: must be integers")
     if not isinstance(doc["points"], dict):
         raise fail("points: must be an object")

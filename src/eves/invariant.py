@@ -80,14 +80,24 @@ class BasisChoice:
 
 
 def bracket(t: RTuple, basis: Sequence[Sequence[Fraction]], reps: Mapping[str, Sequence[Fraction]]) -> Fraction:
-    """Determinant of the tuple members' coordinates in the given span basis."""
+    """Determinant of the tuple members' coordinates in the given span basis.
+
+    The members' coordinates are read off the pivot columns of the basis's
+    reduced echelon form R, so the basis is reduced once per bracket.  The
+    determinant in the basis itself is the one in R divided by that of the
+    basis rows' own coordinates in R, which is 1 for an echelon basis.
+    """
+    reduced, rk = linalg.rref(basis)
+    if rk != len(basis):
+        raise ValueError("basis rows are linearly dependent")
     coord_rows = []
     for name in t.members:
-        coords = linalg.coords_in_row_basis(basis, reps[name])
+        coords = linalg.echelon_coords(reduced, reps[name])
         if coords is None:
             raise ValueError(f"basis does not span the representative of point {name!r}")
         coord_rows.append(coords)
-    return linalg.det(coord_rows)
+    pivot_block = [linalg.echelon_coords(reduced, row) for row in basis]
+    return linalg.det(coord_rows) / linalg.det(pivot_block)
 
 
 def canonical_point_reps(cfg: Configuration) -> dict[str, Vector]:

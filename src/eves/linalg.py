@@ -102,28 +102,23 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return sign * scale * m[n - 1][n - 1]
 
 
-def coords_in_row_basis(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector | None:
-    """Coefficients x with sum(x[i] * basis[i]) == v, or None if v is not in the span.
+def echelon_coords(reduced: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector | None:
+    """Coefficients x with sum(x[k] * reduced[k]) == v, or None if v is not in the span.
 
-    The basis rows must be linearly independent.
+    ``reduced`` must be a reduced row echelon form of full rank, as ``rref``
+    returns it.  Row k has a 1 in its pivot column and every other row a 0
+    there, so x[k] is v's entry in that column; the other columns only decide
+    membership.
     """
-    r = len(basis)
     n = len(v)
-    if any(len(row) != n for row in basis):
+    if any(len(row) != n for row in reduced):
         raise ValueError("basis/vector shape mismatch")
-    aug = [[Fraction(basis[i][j]) for i in range(r)] + [Fraction(v[j])] for j in range(n)]
-    reduced, _ = rref(aug)
-    x: list[Fraction | None] = [None] * r
-    for row in reduced:
-        piv = next((c for c, val in enumerate(row) if val != 0), None)
-        if piv is None:
-            continue
-        if piv == r:
-            return None  # inconsistent: v outside the span
-        x[piv] = row[r]
-    if any(c is None for c in x):
-        raise ValueError("basis rows are linearly dependent")
-    return tuple(x)  # type: ignore[arg-type]
+    pivots = [next(c for c, val in enumerate(row) if val != 0) for row in reduced]
+    x = tuple(Fraction(v[c]) for c in pivots)
+    for c in range(n):
+        if c not in pivots and sum(xk * row[c] for xk, row in zip(x, reduced)) != v[c]:
+            return None
+    return x
 
 
 def scale_first_nonzero(v: Sequence[Fraction]) -> Vector:

@@ -1,12 +1,15 @@
-"""Two-color restrictions, unit-weight expansions, and reconstruction reports.
+"""Reconstruction vectors, their independent check, and comparison reports.
 
-For every color pair (i, j) the restriction (S_i, S_j) is expanded into a
-weight (1,1) configuration by duplicating the lists lcm/p_i and lcm/p_j times;
-the classical two-color invariants of these expansions form the reconstruction
-vector.  Each entry equals the corresponding axis projection of the full
-weighted invariant, so the vector can never distinguish more configurations
-than the weighted invariant does; over non-reconstructible weights it
-distinguishes strictly fewer.
+The reconstruction vector of a configuration lists the classical two-color
+ratios, one per color pair (i, j).  Each is the canonical axis projection
+[z_i^a : z_j^b] of the weighted invariant z = E_p, so the vector is read off
+E_p with ``product_map`` and can never distinguish more configurations than
+E_p does; over non-reconstructible weights it distinguishes strictly fewer.
+
+``check_reconstruction_identity`` is the independent check of that claim: it
+restricts the configuration to each pair (S_i, S_j), expands the pair to a
+weight (1,1) configuration by duplicating the lists lcm/p_i and lcm/p_j times,
+and compares the expansion's classical invariant with the projection.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ from dataclasses import dataclass
 
 from .configuration import Configuration, build_configuration
 from .invariant import eves_invariant
-from .wps import (
-    Weight,
-    WeightedPoint,
-    apply_axis_projection,
-    canonical_axis_projection,
-    index_pairs,
-    wps_equivalent,
-)
+from .wps import Weight, WeightedPoint, index_pairs, product_map, wps_equivalent
 
 
 @dataclass(frozen=True)
@@ -81,23 +77,24 @@ def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
     )
 
 
+def projection_vector(full: WeightedPoint) -> ReconstructionVector:
+    """The canonical axis projections of a weighted invariant, lexicographic pair order."""
+    return ReconstructionVector(index_pairs(full.weight), product_map(full))
+
+
 def reconstruction_vector(cfg: Configuration) -> ReconstructionVector:
-    """Classical two-color invariants of all pairwise expansions, lexicographic order."""
-    pairs = index_pairs(cfg.weight)
-    entries = tuple(
-        eves_invariant(unit_weight_expansion(restrict_pair(cfg, i, j))).point for i, j in pairs
-    )
-    return ReconstructionVector(pairs, entries)
+    """The classical two-color ratios of every color pair, read off E_p."""
+    return projection_vector(eves_invariant(cfg).point)
 
 
-def check_reconstruction_identity(cfg: Configuration) -> bool:
-    """Whether every reconstruction entry equals the matching axis projection
-    of the full weighted invariant (it must, for admissible configurations)."""
-    full = eves_invariant(cfg).point
-    vector = reconstruction_vector(cfg)
+def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bool:
+    """Whether every pair expansion's classical invariant equals the matching
+    axis projection of the weighted invariant ``full`` of ``cfg`` (it must,
+    for admissible configurations)."""
+    vector = projection_vector(full)
     for (i, j), entry in zip(vector.pairs, vector.entries):
-        spec = canonical_axis_projection(cfg.weight, i, j)
-        if not wps_equivalent(entry, apply_axis_projection(spec, full)):
+        expansion = eves_invariant(unit_weight_expansion(restrict_pair(cfg, i, j))).point
+        if not wps_equivalent(expansion, entry):
             return False
     return True
 
@@ -110,8 +107,8 @@ def compare(cfg_a: Configuration, cfg_b: Configuration) -> CompareReport:
         raise ValueError("configurations carry different arities")
     inv_a = eves_invariant(cfg_a).point
     inv_b = eves_invariant(cfg_b).point
-    vec_a = reconstruction_vector(cfg_a)
-    vec_b = reconstruction_vector(cfg_b)
+    vec_a = projection_vector(inv_a)
+    vec_b = projection_vector(inv_b)
     pair_equal = tuple(
         wps_equivalent(x, y) for x, y in zip(vec_a.entries, vec_b.entries)
     )

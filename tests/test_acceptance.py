@@ -194,10 +194,11 @@ def test_morphism_suite():
 
 def test_reconstruction_identity_everywhere():
     for name, cfg in all_fixture_configurations():
-        assert check_reconstruction_identity(cfg), name
+        assert check_reconstruction_identity(cfg, eves_invariant(cfg).point), name
     rng = random.Random(707)
     for _ in range(200):
-        assert check_reconstruction_identity(random_h_configuration(rng))
+        cfg = random_h_configuration(rng)
+        assert check_reconstruction_identity(cfg, eves_invariant(cfg).point)
     done("projection identity (all fixtures plus 200 random configurations)")
 
 

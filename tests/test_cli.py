@@ -93,6 +93,22 @@ class TestInvariant:
         assert code == 2
         assert "error:" in err
 
+    def test_boolean_dim_exit_two(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "cross_ratio_quadruple.json").read_text())
+        doc["dim"] = True
+        path = tmp_path / "bool_dim.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "invariant", str(path))
+        assert code == 2 and out == ""
+        assert "arity/dim: must be integers" in err
+
+    def test_deeply_nested_configuration_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, _, err = run_cli(capsys, "invariant", str(path))
+        assert code == 2
+        assert err == f"error: {path}: JSON nests too deeply\n"
+
 
 class TestReconstruct:
     def test_fixture(self, capsys, fixtures_dir):
@@ -183,6 +199,15 @@ class TestTransform:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_deeply_nested_matrix_exit_two(self, capsys, tmp_path, fixtures_dir):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100000)
+        code, _, err = run_cli(
+            capsys, "transform", str(fixtures_dir / "cross_ratio_quadruple.json"), "--matrix", str(path)
+        )
+        assert code == 2
+        assert err == f"error: {path}: JSON nests too deeply\n"
 
     def test_rank_deficient_exit_two(self, capsys, tmp_path, fixtures_dir):
         path = tmp_path / "m.json"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -269,6 +270,13 @@ class TestFileFormat:
     def test_missing_field_diagnosed(self):
         with pytest.raises(ConfigurationError, match="missing field 'weight'"):
             parse_configuration('{"field": "rational"}', source="f.json")
+
+    @pytest.mark.parametrize("key", ["arity", "dim"])
+    def test_boolean_arity_and_dim_rejected(self, key, fixtures_dir):
+        doc = json.loads((fixtures_dir / "cross_ratio_quadruple.json").read_text())
+        doc[key] = True
+        with pytest.raises(ConfigurationError, match="arity/dim: must be integers"):
+            parse_configuration(json.dumps(doc))
 
     def test_wrong_field_value(self):
         text = '{"field": "float", "weight": [1,1], "arity": 2, "dim": 1, "points": {}, "colors": [[],[]]}'

@@ -75,6 +75,18 @@ class TestBracket:
         with pytest.raises(ValueError, match="does not span"):
             bracket(RTuple(("a", "b")), bad_basis, reps)
 
+    def test_non_echelon_basis_by_hand(self):
+        # a = b0 + b1 and b = 2*b0 - b1, so the coordinate rows are (1,1), (2,-1)
+        basis = ((F(1), F(2), F(3)), (F(2), F(3), F(4)))
+        reps = {"a": (F(3), F(5), F(7)), "b": (F(0), F(1), F(2))}
+        assert bracket(RTuple(("a", "b")), basis, reps) == -3
+
+    def test_dependent_basis_rejected(self):
+        reps = {"a": (F(1), F(2), F(3)), "b": (F(2), F(4), F(6))}
+        dependent = ((F(1), F(2), F(3)), (F(2), F(4), F(6)))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            bracket(RTuple(("a", "b")), dependent, reps)
+
 
 class TestEvesInvariant:
     def test_segment_pair_fixtures(self, fixtures_dir):

@@ -6,9 +6,11 @@ import pytest
 from eves import (
     CompareReport,
     LinearMorphism,
+    NotHConfigurationError,
     Weight,
     WeightedPoint,
     apply_morphism,
+    build_configuration,
     check_reconstruction_identity,
     compare,
     eves_invariant,
@@ -20,6 +22,7 @@ from eves import (
     wps_equivalent,
 )
 from eves.reconstruct import render_compare, render_reconstruction
+from eves.wps import index_pairs
 from conftest import random_h_configuration, random_invertible_matrix
 
 ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
@@ -98,17 +101,60 @@ class TestReconstructionVector:
         assert wps_equivalent(vector.entries[0], ONE_ONE)
 
 
+def expansion_coords(cfg):
+    """Coordinates of each pair expansion's classical invariant, lexicographic pair order."""
+    return [
+        eves_invariant(unit_weight_expansion(restrict_pair(cfg, i, j))).point.coords
+        for i, j in index_pairs(cfg.weight)
+    ]
+
+
+class TestEntriesFromInvariant:
+    """The entries read off E_p are the expansions' invariants, coordinate for coordinate."""
+
+    def test_fixture_corpus(self, fixtures_dir):
+        for path in sorted(fixtures_dir.glob("*.json")):
+            if path.name == "projection_matrix.json":
+                continue
+            cfg = load_configuration(path)
+            entries = [e.coords for e in reconstruction_vector(cfg).entries]
+            assert entries == expansion_coords(cfg), path.name
+
+    def test_random_corpus(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            cfg = random_h_configuration(rng)
+            assert [e.coords for e in reconstruction_vector(cfg).entries] == expansion_coords(cfg)
+
+    def test_admissible_expansion_of_non_admissible_input(self):
+        # weight (2,2) with every point of degrees (1,1): the quotient 1/2 is not
+        # an integer, yet the pair's weight (1,1) expansion is admissible
+        points = {name: (F(1), F(t)) for t, name in enumerate("abcd")}
+        colors = [[("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")]]
+        cfg = build_configuration(Weight((2, 2)), 2, 1, colors, points)
+        assert not validate_h(cfg).h_valid
+        assert validate_h(unit_weight_expansion(restrict_pair(cfg, 0, 1))).h_valid
+        with pytest.raises(NotHConfigurationError, match="point 'a'"):
+            reconstruction_vector(cfg)
+
+
 class TestReconstructionIdentity:
     def test_fixture_corpus(self, fixtures_dir):
         for path in sorted(fixtures_dir.glob("*.json")):
             if path.name == "projection_matrix.json":
                 continue
-            assert check_reconstruction_identity(load_configuration(path)), path.name
+            cfg = load_configuration(path)
+            assert check_reconstruction_identity(cfg, eves_invariant(cfg).point), path.name
 
     def test_random_corpus(self):
         rng = random.Random(23)
         for _ in range(40):
-            assert check_reconstruction_identity(random_h_configuration(rng))
+            cfg = random_h_configuration(rng)
+            assert check_reconstruction_identity(cfg, eves_invariant(cfg).point)
+
+    def test_wrong_invariant_fails(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "segment_pair_aligned.json")
+        assert not check_reconstruction_identity(cfg, WeightedPoint((F(1), F(2)), cfg.weight))
 
 
 class TestCompare:
