@@ -2,7 +2,8 @@
 
 Subcommands: validate, invariant, reconstruct, compare, transform, wps-equiv,
 witness.  Exit codes: 0 success / positive verdict, 1 negative verdict,
-2 input error, 3 fully distinguishable (compare only), 4 oracle mismatch.
+2 input error, 3 fully distinguishable (compare only), 4 oracle mismatch,
+5 internal error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 
 from . import oracle, reconstruct
 from .configuration import (
@@ -44,6 +46,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_DISTINGUISHABLE = 3
 EXIT_ORACLE_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 _INPUT_ERRORS = (
     ConfigurationError,
@@ -102,7 +105,7 @@ def _load_matrix(path: str) -> LinearMorphism:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over the interpreter's digit limit
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigurationError(f"{path}: JSON nests too deeply") from None
@@ -264,6 +267,10 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a crash gets its own code, never one that reads as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

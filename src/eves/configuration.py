@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .wps import FieldKind, Weight, parse_rational
+from .wps import FieldKind, Weight, format_rational, parse_rational
 
 
 class ConfigurationError(ValueError):
@@ -57,16 +57,21 @@ class Subspace:
         if rk != len(basis) or reduced != basis:
             raise ConfigurationError("subspace basis must be reduced echelon rows of full rank")
         object.__setattr__(self, "basis", basis)
+        # spans key dicts looked up once per tuple; hashing the rationals anew each time dominates them
+        object.__setattr__(self, "_hash", hash(basis))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return linalg.echelon_coords(self.basis, v) is not None
+        return linalg.echelon_coords(self.basis, linalg.pivot_columns(self.basis), v) is not None
 
     def __str__(self) -> str:
-        rows = "; ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
+        rows = "; ".join("(" + ", ".join(format_rational(x) for x in r) + ")" for r in self.basis)
         return f"span[{rows}]"
 
 
@@ -140,6 +145,7 @@ def build_configuration(
     ell: int | None = None
     stored: list[tuple[RTuple, ...]] = []
     spans: dict[RTuple, Subspace] = {}
+    interned: dict[Matrix, Subspace] = {}  # one Subspace per distinct span, so its check runs once
     for c, color in enumerate(colors):
         tuples = [_as_rtuple(t) for t in color]
         p_c = weight.parts[c]
@@ -171,7 +177,10 @@ def build_configuration(
                     raise ConfigurationError(
                         f"colors[{c}][{k}]: dependent r-tuple {t.members}"
                     )
-                spans[t] = Subspace(reduced)
+                span = interned.get(reduced)
+                if span is None:
+                    span = interned[reduced] = Subspace(reduced)
+                spans[t] = span
         stored.append(tuple(sorted(tuples)))
 
     assert ell is not None
@@ -260,9 +269,10 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
                 point_counts[name][c] += 1
             span_counts[(cfg.spans[t], c)] += 1
 
+    subspaces = cfg.subspaces()
     point_degrees = {name: tuple(v) for name, v in point_counts.items()}
     subspace_degrees = {
-        s: tuple(span_counts[(s, c)] for c in range(len(cfg.colors))) for s in cfg.subspaces()
+        s: tuple(span_counts[(s, c)] for c in range(len(cfg.colors))) for s in subspaces
     }
 
     point_quotients: dict[str, int | None] = {}
@@ -273,7 +283,7 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
             point_quotients[name] = q
             if q is None and failure is None:
                 failure = f"point {name!r}: degrees {point_degrees[name]} not proportional to weight {w}"
-        for s in cfg.subspaces():
+        for s in subspaces:
             m = _proportional(subspace_degrees[s], parts)
             subspace_multiplicities[s] = m
             if m is None and failure is None:
@@ -321,9 +331,7 @@ def _reject_duplicate_keys(pairs):
 def _coord(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ConfigurationError(f"{where}: coordinates must be exact rationals, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
             return parse_rational(value)
         except ValueError as exc:
@@ -337,7 +345,7 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over the interpreter's digit limit
         raise ConfigurationError(f"{source}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigurationError(f"{source}: JSON nests too deeply") from None
@@ -408,7 +416,7 @@ def configuration_to_json(cfg: Configuration) -> str:
         "weight": list(cfg.weight.parts),
         "arity": cfg.arity,
         "dim": cfg.dim,
-        "points": {name: [str(x) for x in cfg.points[name].coords] for name in sorted(cfg.points)},
+        "points": {name: [format_rational(x) for x in cfg.points[name].coords] for name in sorted(cfg.points)},
         "colors": [[list(t.members) for t in color] for color in cfg.colors],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .configuration import (
@@ -79,25 +79,37 @@ class BasisChoice:
     point_reps: dict[str, Vector] = field(default_factory=dict)
 
 
-def bracket(t: RTuple, basis: Sequence[Sequence[Fraction]], reps: Mapping[str, Sequence[Fraction]]) -> Fraction:
-    """Determinant of the tuple members' coordinates in the given span basis.
+def _span_bracket(basis: Sequence[Sequence[Fraction]]) -> Callable[[RTuple, Mapping[str, Sequence[Fraction]]], Fraction]:
+    """Brackets of tuples in one span, with the work that depends only on the basis done once.
 
-    The members' coordinates are read off the pivot columns of the basis's
-    reduced echelon form R, so the basis is reduced once per bracket.  The
-    determinant in the basis itself is the one in R divided by that of the
-    basis rows' own coordinates in R, which is 1 for an echelon basis.
+    The basis is reduced once to its echelon form R.  Each member's
+    coordinates in R are its entries in R's pivot columns, and the non-pivot
+    columns check that R spans it.  The determinant in the basis itself is
+    the one in R divided by that of the basis rows' own coordinates in R
+    (their pivot-column block), which is 1 for an echelon basis and is
+    computed once here.
     """
     reduced, rk = linalg.rref(basis)
     if rk != len(basis):
         raise ValueError("basis rows are linearly dependent")
-    coord_rows = []
-    for name in t.members:
-        coords = linalg.echelon_coords(reduced, reps[name])
-        if coords is None:
-            raise ValueError(f"basis does not span the representative of point {name!r}")
-        coord_rows.append(coords)
-    pivot_block = [linalg.echelon_coords(reduced, row) for row in basis]
-    return linalg.det(coord_rows) / linalg.det(pivot_block)
+    pivots = linalg.pivot_columns(reduced)
+    block = linalg.det([[row[c] for c in pivots] for row in basis])
+
+    def span_bracket(t: RTuple, reps: Mapping[str, Sequence[Fraction]]) -> Fraction:
+        coord_rows = []
+        for name in t.members:
+            coords = linalg.echelon_coords(reduced, pivots, reps[name])
+            if coords is None:
+                raise ValueError(f"basis does not span the representative of point {name!r}")
+            coord_rows.append(coords)
+        return linalg.det(coord_rows) / block
+
+    return span_bracket
+
+
+def bracket(t: RTuple, basis: Sequence[Sequence[Fraction]], reps: Mapping[str, Sequence[Fraction]]) -> Fraction:
+    """Determinant of the tuple members' coordinates in the given span basis."""
+    return _span_bracket(basis)(t, reps)
 
 
 def canonical_point_reps(cfg: Configuration) -> dict[str, Vector]:
@@ -136,11 +148,12 @@ def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None)
     """The invariant computed with caller-supplied bases and representatives."""
     _require_h(cfg)
     bases, reps = _resolve_choices(cfg, choices)
+    brackets = {s: _span_bracket(basis) for s, basis in bases.items()}
     coords = []
     for color in cfg.colors:
         product = Fraction(1)
         for t in color:
-            product *= bracket(t, bases[cfg.spans[t]], reps)
+            product *= brackets[cfg.spans[t]](t, reps)
         coords.append(product)
     return InvariantValue(WeightedPoint(tuple(coords), cfg.weight))
 

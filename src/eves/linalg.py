@@ -102,18 +102,24 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return sign * scale * m[n - 1][n - 1]
 
 
-def echelon_coords(reduced: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector | None:
+def pivot_columns(reduced: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
+    """The column of each row's leading entry in a reduced row echelon form."""
+    return tuple(next(c for c, val in enumerate(row) if val != 0) for row in reduced)
+
+
+def echelon_coords(
+    reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], v: Sequence[Fraction]
+) -> Vector | None:
     """Coefficients x with sum(x[k] * reduced[k]) == v, or None if v is not in the span.
 
     ``reduced`` must be a reduced row echelon form of full rank, as ``rref``
-    returns it.  Row k has a 1 in its pivot column and every other row a 0
-    there, so x[k] is v's entry in that column; the other columns only decide
-    membership.
+    returns it, and ``pivots`` its ``pivot_columns``.  Row k has a 1 in its
+    pivot column and every other row a 0 there, so x[k] is v's entry in that
+    column; the other columns only decide membership.
     """
     n = len(v)
     if any(len(row) != n for row in reduced):
         raise ValueError("basis/vector shape mismatch")
-    pivots = [next(c for c, val in enumerate(row) if val != 0) for row in reduced]
     x = tuple(Fraction(v[c]) for c in pivots)
     for c in range(n):
         if c not in pivots and sum(xk * row[c] for xk, row in zip(x, reduced)) != v[c]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .configuration import Configuration, build_configuration
 from .invariant import eves_invariant
-from .wps import Weight, WeightedPoint, index_pairs, product_map, wps_equivalent
+from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, wps_equivalent
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def _pair_label(i: int, j: int) -> str:
 
 
 def _ratio(entry: WeightedPoint) -> str:
-    return "[" + " : ".join(str(c) for c in entry.coords) + "]"
+    return "[" + " : ".join(format_rational(c) for c in entry.coords) + "]"
 
 
 def render_reconstruction(vector: ReconstructionVector, full: WeightedPoint, identity_ok: bool) -> str:

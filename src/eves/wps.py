@@ -10,6 +10,7 @@ specific rational, reducing existence of a real l to a sign test.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,7 +65,7 @@ class WeightedPoint:
         return all(c != 0 for c in self.coords)
 
     def __str__(self) -> str:
-        body = " : ".join(str(c) for c in self.coords)
+        body = " : ".join(format_rational(c) for c in self.coords)
         return f"[{body}]_{self.weight}"
 
 
@@ -219,12 +220,52 @@ def nonreconstructible_witness(p: Weight) -> tuple[WeightedPoint, WeightedPoint]
     return WeightedPoint(ones, p), WeightedPoint(flipped, p)
 
 
+# Longest input rational, in characters, and largest exponent in forms such as
+# 1e5: together they bound the digits of every number read from input, which
+# the parser handles in quadratic time.  The length also stays below the
+# interpreter's own limit on reading integers (4300 digits by default).
+MAX_RATIONAL_CHARS = 4096
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse '3', '-3', '3/4', '-3/4' into an exact rational."""
+    """Parse '3', '-3', '3/4', '-3/4' into an exact rational.
+
+    Text longer than ``MAX_RATIONAL_CHARS``, or with an exponent larger than
+    that, is rejected before any arithmetic.
+    """
+    body = str(text).strip()
+    if len(body) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational of {len(body)} characters exceeds the limit of {MAX_RATIONAL_CHARS}")
+    exponent = _EXPONENT.search(body)
+    if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"exponent {exponent.group(1)} exceeds the limit of {MAX_RATIONAL_CHARS}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
+
+
+def format_rational(x: Fraction) -> str:
+    """``str(x)`` for a rational of any size.
+
+    ``str`` of an integer raises beyond the interpreter's digit limit (4300
+    digits by default); an exact answer can be longer than that.
+    """
+    if x.denominator == 1:
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    if n < 0:
+        return "-" + _int_text(-n)
+    bits = n.bit_length()
+    if bits <= 2000:  # at most 603 digits, below the least digit limit the interpreter accepts (640)
+        return str(n)
+    half = bits * 3 // 20  # n has more than 2 * half digits, since log10(2) > 3/10
+    high, low = divmod(n, 10**half)
+    return _int_text(high) + _int_text(low).zfill(half)
 
 
 def parse_weight(text: str, field: FieldKind = FieldKind.REAL_LIKE) -> Weight:

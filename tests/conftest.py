@@ -106,3 +106,39 @@ def random_h_configuration(rng: random.Random, *, parts=None, dim=None, arity: i
                     colors[c].append((perm[2 * e], perm[2 * e + 1]))
 
     return build_configuration(weight, 2, dim, colors, points)
+
+
+def random_simplex_configuration(rng: random.Random, *, parts=None, dim=None):
+    """A random admissible configuration of arity dim+1, so a single span.
+
+    Points are drawn in independent blocks of dim+1, so some partition into
+    independent blocks exists.  Every color receives p_c random partitions of
+    the points into blocks, each redrawn until its blocks are independent;
+    every point then has degree p_c in color c, and the one span degree
+    ell * p_c.
+    """
+    if parts is None:
+        parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+    dim = dim if dim is not None else rng.randint(1, 3)
+    arity = dim + 1
+    points = {}
+    for _ in range(rng.randint(1, 2)):
+        while True:
+            block = [tuple(rand_fraction(rng) for _ in range(arity)) for _ in range(arity)]
+            if linalg.rank(block) == arity:
+                break
+        for v in block:
+            points[f"s{len(points)}"] = v
+    names = sorted(points)
+    colors = []
+    for p_c in parts:
+        color = []
+        for _ in range(p_c):
+            while True:
+                perm = rng.sample(names, len(names))
+                blocks = [perm[i : i + arity] for i in range(0, len(perm), arity)]
+                if all(linalg.rank([points[n] for n in b]) == arity for b in blocks):
+                    break
+            color += blocks
+        colors.append(color)
+    return build_configuration(Weight(parts), arity, dim, colors, points)

@@ -1,8 +1,17 @@
 import json
+import random
+import re
+from fractions import Fraction as F
 
+import pytest
+
+from eves import cli
 from eves.cli import main
 from eves import (
+    Weight,
+    WeightedPoint,
     eves_invariant,
+    linalg,
     load_configuration,
     parse_configuration,
     wps_equivalent,
@@ -267,3 +276,93 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+def long_int(text):
+    """An integer from decimal text of any length, read in chunks below the
+    interpreter's digit limit for ``int(str)``."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k : k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+class TestSizeLimits:
+    def test_invariant_over_the_digit_limit_prints(self, capsys, tmp_path):
+        # four lines in P^3 with the cross-ratio pattern on each, mapped by a
+        # matrix with entries near 10^700: admissible, and its printed
+        # invariant runs past the interpreter's 4300-digit limit for str(int)
+        rng = random.Random(7)
+        points, colors = {}, [[], []]
+        for k in range(4):
+            u = [rng.randint(-5, 5) for _ in range(4)]
+            v = [rng.randint(-5, 5) for _ in range(4)]
+            a, b, c, d = names = [f"p{k}{t}" for t in range(1, 5)]
+            for t, name in enumerate(names, 1):
+                points[name] = [str(x + t * y) for x, y in zip(u, v)]
+            colors[0] += [[a, b], [c, d]]
+            colors[1] += [[a, c], [b, d]]
+        doc = {"field": "rational", "weight": [1, 1], "arity": 2, "dim": 3, "points": points, "colors": colors}
+        source = tmp_path / "lines.json"
+        source.write_text(json.dumps(doc))
+        while True:
+            m = [[10**700 + rng.randint(-99, 99) for _ in range(4)] for _ in range(4)]
+            if linalg.det(m) != 0:
+                break
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps([[str(x) for x in row] for row in m]))
+        code, image_text, _ = run_cli(capsys, "transform", str(source), "--matrix", str(matrix))
+        assert code == 0
+        image = tmp_path / "image.json"
+        image.write_text(image_text)
+        code, out, _ = run_cli(capsys, "validate", str(image))
+        assert code == 0 and out.startswith("h_valid: true\n")
+
+        code, out, err = run_cli(capsys, "invariant", str(image))
+        assert code == 0 and err == ""
+        body, weight = out.removeprefix("E_p = [").split("]_")
+        assert weight == "(1,1)\n"
+        coords = []
+        for text in body.split(" : "):
+            num, _, den = text.partition("/")
+            coords.append(F(long_int(num), long_int(den) if den else 1))
+        assert max(len(x) for x in re.findall(r"\d+", body)) > 4300
+        value = WeightedPoint(tuple(coords), Weight((1, 1)))
+        assert value == eves_invariant(load_configuration(image)).point
+        assert wps_equivalent(value, eves_invariant(load_configuration(source)).point)
+
+    @pytest.mark.parametrize(
+        "coordinate",
+        ["1" + "0" * 4999, "1/" + "3" * 4999, "1e5000", "1e-5000"],
+        ids=["digits", "denominator", "exponent", "negative-exponent"],
+    )
+    def test_oversized_rational_exit_two(self, capsys, coordinate):
+        code, out, err = run_cli(capsys, "wps-equiv", "--weight", "1,1", "--a", f"{coordinate},1", "--b", "1,1")
+        assert code == 2 and out == ""
+        assert "exceeds the limit of 4096" in err
+        assert len(err) < 100
+
+    def test_oversized_coordinate_in_file_exit_two(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "cross_ratio_quadruple.json").read_text())
+        name = sorted(doc["points"])[0]
+        doc["points"][name][0] = "7" * 5000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "invariant", str(path))
+        assert code == 2 and out == ""
+        assert "exceeds the limit of 4096" in err
+        assert len(err) < 100 + len(str(path))
+
+
+class TestInternalError:
+    def test_crash_exits_five(self, capsys, monkeypatch, fixtures_dir):
+        def crash(cfg):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "eves_invariant", crash)
+        code, out, err = run_cli(capsys, "invariant", str(fixtures_dir / "cross_ratio_quadruple.json"))
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: simulated fault\n")

@@ -28,6 +28,7 @@ from eves import (
     wps_equivalent,
 )
 from eves import linalg
+from eves.invariant import canonical_point_reps
 from conftest import random_h_configuration, random_invertible_matrix
 
 ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
@@ -122,6 +123,27 @@ class TestEvesInvariant:
             eves_invariant(cfg)
 
 
+class TestSpanWork:
+    def test_each_span_reduced_once(self, fixtures_dir, monkeypatch):
+        cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
+        spans = len(cfg.subspaces())
+        assert spans < sum(len(color) for color in cfg.colors)
+        calls = []
+        rref = linalg.rref
+
+        def counting_rref(rows):
+            calls.append(rows)
+            return rref(rows)
+
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        eves_invariant(cfg)
+        assert len(calls) == spans
+
+    def test_build_interns_spans(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
+        assert len({id(s) for s in cfg.spans.values()}) == len(cfg.subspaces())
+
+
 class TestChoiceIndependence:
     def test_canonical_choices_identical(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
@@ -137,11 +159,20 @@ class TestChoiceIndependence:
     def test_basis_change(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
         line = cfg.spans[cfg.colors[0][0]]
-        q = ((F(2), F(1)), (F(1), F(1)))
-        choice = BasisChoice(subspace_bases={line: linalg.mat_mul(q, line.basis)})
-        assert wps_equivalent(
-            eves_invariant_with_choices(cfg, choice).point, eves_invariant(cfg).point
-        )
+        reps = canonical_point_reps(cfg)
+        for q in (((F(2), F(1)), (F(1), F(1))), ((F(2), F(1)), (F(1), F(3)))):
+            basis = linalg.mat_mul(q, line.basis)
+            choice = BasisChoice(subspace_bases={line: basis})
+            value = eves_invariant_with_choices(cfg, choice).point
+            assert wps_equivalent(value, eves_invariant(cfg).point)
+            # the non-echelon basis gives each color the product of its public brackets
+            expected = []
+            for color in cfg.colors:
+                product = F(1)
+                for t in color:
+                    product *= bracket(t, basis, reps)
+                expected.append(product)
+            assert value.coords == tuple(expected)
 
     def test_invalid_choices_rejected(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")

@@ -21,7 +21,7 @@ from eves.oracle import (
     exhaustive_crt,
     ff_enumerate_classes,
 )
-from conftest import random_h_configuration
+from conftest import random_h_configuration, random_simplex_configuration
 
 
 def wpt(coords, parts):
@@ -125,6 +125,13 @@ class TestBruteInvariant:
         rng = random.Random(43)
         for _ in range(25):
             cfg = random_h_configuration(rng)
+            assert wps_equivalent(brute_invariant(cfg).point, eves_invariant(cfg).point)
+
+    def test_random_single_span_corpus(self):
+        rng = random.Random(47)
+        for _ in range(25):
+            cfg = random_simplex_configuration(rng)
+            assert len(cfg.subspaces()) == 1
             assert wps_equivalent(brute_invariant(cfg).point, eves_invariant(cfg).point)
 
     def test_rejects_non_admissible(self):
