@@ -23,6 +23,7 @@ from .invariant import (
     LinearMorphism,
     MorphismError,
     NotHConfigurationError,
+    SpanBasis,
     TrianglePattern,
     apply_morphism,
     bracket,

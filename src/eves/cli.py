@@ -13,6 +13,7 @@ import json
 import re
 import sys
 import traceback
+from contextlib import contextmanager
 
 from . import oracle, reconstruct
 from .configuration import (
@@ -54,9 +55,17 @@ _INPUT_ERRORS = (
     MorphismError,
     ChartError,
     UndefinedPointError,
-    ValueError,
     OSError,
 )
+
+
+@contextmanager
+def _reading_arguments():
+    """Parse command-line text: a ValueError raised here is an input error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +184,8 @@ def run(args: argparse.Namespace) -> int:
 
     if args.command == "validate":
         cfg = load_configuration(args.input)
-        weight = parse_weight(args.weight) if args.weight else None
+        with _reading_arguments():
+            weight = parse_weight(args.weight) if args.weight else None
         report = validate_h(cfg, weight)
         out.write(_render_report(report))
         if args.oracle and not _recount_degrees(cfg):
@@ -232,9 +242,10 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "wps-equiv":
-        weight = parse_weight(args.weight)
-        z = _parse_point(weight, args.point_a)
-        w = _parse_point(weight, args.point_b)
+        with _reading_arguments():
+            weight = parse_weight(args.weight)
+            z = _parse_point(weight, args.point_a)
+            w = _parse_point(weight, args.point_b)
         verdict = wps_equivalent(z, w)
         out.write("true\n" if verdict else "false\n")
         if args.oracle:
@@ -244,8 +255,9 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK if verdict else EXIT_NEGATIVE
 
     if args.command == "witness":
-        weight = parse_weight(args.weight)
-        z, w = nonreconstructible_witness(weight)
+        with _reading_arguments():
+            weight = parse_weight(args.weight)
+            z, w = nonreconstructible_witness(weight)  # rejects weights with no witness
         out.write(f"{z}\n{w}\n")
         if args.oracle:
             images_equal = all(

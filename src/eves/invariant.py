@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .configuration import (
@@ -79,37 +79,42 @@ class BasisChoice:
     point_reps: dict[str, Vector] = field(default_factory=dict)
 
 
-def _span_bracket(basis: Sequence[Sequence[Fraction]]) -> Callable[[RTuple, Mapping[str, Sequence[Fraction]]], Fraction]:
-    """Brackets of tuples in one span, with the work that depends only on the basis done once.
+class SpanBasis:
+    """An ordered span basis with the work that depends only on it done once.
 
-    The basis is reduced once to its echelon form R.  Each member's
-    coordinates in R are its entries in R's pivot columns, and the non-pivot
-    columns check that R spans it.  The determinant in the basis itself is
-    the one in R divided by that of the basis rows' own coordinates in R
-    (their pivot-column block), which is 1 for an echelon basis and is
-    computed once here.
+    The basis is reduced once to its echelon form R.  A member's coordinates
+    in R are its entries in R's pivot columns, and the non-pivot columns check
+    that R spans it.  The determinant in the basis itself is the one in R
+    divided by that of the basis rows' own coordinates in R (their
+    pivot-column block), which is 1 for an echelon basis and is stored here.
     """
-    reduced, rk = linalg.rref(basis)
-    if rk != len(basis):
-        raise ValueError("basis rows are linearly dependent")
-    pivots = linalg.pivot_columns(reduced)
-    block = linalg.det([[row[c] for c in pivots] for row in basis])
 
-    def span_bracket(t: RTuple, reps: Mapping[str, Sequence[Fraction]]) -> Fraction:
-        coord_rows = []
-        for name in t.members:
-            coords = linalg.echelon_coords(reduced, pivots, reps[name])
-            if coords is None:
-                raise ValueError(f"basis does not span the representative of point {name!r}")
-            coord_rows.append(coords)
-        return linalg.det(coord_rows) / block
+    __slots__ = ("reduced", "pivots", "block")
 
-    return span_bracket
+    def __init__(self, basis: Sequence[Sequence[Fraction]]) -> None:
+        reduced, rk = linalg.rref(basis)
+        if rk != len(basis):
+            raise ValueError("basis rows are linearly dependent")
+        self.reduced = reduced
+        self.pivots = linalg.pivot_columns(reduced)
+        self.block = linalg.det([[row[c] for c in self.pivots] for row in basis])
 
 
-def bracket(t: RTuple, basis: Sequence[Sequence[Fraction]], reps: Mapping[str, Sequence[Fraction]]) -> Fraction:
-    """Determinant of the tuple members' coordinates in the given span basis."""
-    return _span_bracket(basis)(t, reps)
+def bracket(
+    t: RTuple, basis: Sequence[Sequence[Fraction]] | SpanBasis, reps: Mapping[str, Sequence[Fraction]]
+) -> Fraction:
+    """Determinant of the tuple members' coordinates in the given span basis.
+
+    Pass a ``SpanBasis`` to reuse one reduction across the brackets of a span.
+    """
+    span = basis if isinstance(basis, SpanBasis) else SpanBasis(basis)
+    coord_rows = []
+    for name in t.members:
+        coords = linalg.echelon_coords(span.reduced, span.pivots, reps[name])
+        if coords is None:
+            raise ValueError(f"basis does not span the representative of point {name!r}")
+        coord_rows.append(coords)
+    return linalg.det(coord_rows) / span.block
 
 
 def canonical_point_reps(cfg: Configuration) -> dict[str, Vector]:
@@ -148,12 +153,12 @@ def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None)
     """The invariant computed with caller-supplied bases and representatives."""
     _require_h(cfg)
     bases, reps = _resolve_choices(cfg, choices)
-    brackets = {s: _span_bracket(basis) for s, basis in bases.items()}
+    spans = {s: SpanBasis(basis) for s, basis in bases.items()}
     coords = []
     for color in cfg.colors:
         product = Fraction(1)
         for t in color:
-            product *= brackets[cfg.spans[t]](t, reps)
+            product *= bracket(t, spans[cfg.spans[t]], reps)
         coords.append(product)
     return InvariantValue(WeightedPoint(tuple(coords), cfg.weight))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .configuration import Configuration, build_configuration
+from .configuration import Configuration, ConfigurationError, build_configuration
 from .invariant import eves_invariant
 from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, wps_equivalent
 
@@ -102,9 +102,9 @@ def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bo
 def compare(cfg_a: Configuration, cfg_b: Configuration) -> CompareReport:
     """Equivalence of the weighted invariants versus equality of reconstruction vectors."""
     if cfg_a.weight != cfg_b.weight:
-        raise ValueError("configurations carry different weights")
+        raise ConfigurationError("configurations carry different weights")
     if cfg_a.arity != cfg_b.arity:
-        raise ValueError("configurations carry different arities")
+        raise ConfigurationError("configurations carry different arities")
     inv_a = eves_invariant(cfg_a).point
     inv_b = eves_invariant(cfg_b).point
     vec_a = projection_vector(inv_a)

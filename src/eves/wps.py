@@ -225,7 +225,7 @@ def nonreconstructible_witness(p: Weight) -> tuple[WeightedPoint, WeightedPoint]
 # the parser handles in quadratic time.  The length also stays below the
 # interpreter's own limit on reading integers (4300 digits by default).
 MAX_RATIONAL_CHARS = 4096
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")  # the exponents Fraction accepts
 
 
 def parse_rational(text: str) -> Fraction:
@@ -239,7 +239,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"rational of {len(body)} characters exceeds the limit of {MAX_RATIONAL_CHARS}")
     exponent = _EXPONENT.search(body)
     if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_CHARS:
-        raise ValueError(f"exponent {exponent.group(1)} exceeds the limit of {MAX_RATIONAL_CHARS}")
+        raise ValueError(f"exponent exceeds the limit of {MAX_RATIONAL_CHARS}")
     try:
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:

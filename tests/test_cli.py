@@ -38,6 +38,13 @@ class TestValidate:
         assert code == 0
         assert "h_valid: true" in out
 
+    def test_bad_weight_override_exit_two(self, capsys, fixtures_dir):
+        code, out, err = run_cli(
+            capsys, "validate", str(fixtures_dir / "segment_pair_aligned.json"), "--weight", "1,x"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: invalid weight '1,x': parts must be integers\n"
+
     def test_invalid_configuration_exit_one(self, capsys, tmp_path):
         doc = {
             "field": "rational",
@@ -148,6 +155,16 @@ class TestCompare:
         assert "ep_equivalent: false" in out
         assert "reconstruction_equal: true" in out
 
+    def test_different_weights_exit_two(self, capsys, fixtures_dir):
+        code, out, err = run_cli(
+            capsys,
+            "compare",
+            str(fixtures_dir / "cross_ratio_quadruple.json"),
+            str(fixtures_dir / "segment_pair_aligned.json"),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: configurations carry different weights\n"
+
     def test_equivalent_exit_zero(self, capsys, fixtures_dir):
         path = str(fixtures_dir / "midpoint_triangle_aligned.json")
         code, out, _ = run_cli(capsys, "compare", path, path)
@@ -253,6 +270,16 @@ class TestWpsEquiv:
         code, _, err = run_cli(capsys, "wps-equiv", "--weight", "2,x", "--a", "1,1", "--b", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "weight, a",
+        [("2", "1"), ("0,1", "1,1"), ("1,1", "1,1,1"), ("1,1", "0,0"), ("1,1", "1/0,1"), ("1,1", "1e_5,1")],
+        ids=["one-part", "zero-part", "length", "zero-vector", "zero-denominator", "bad-exponent"],
+    )
+    def test_bad_argument_exit_two(self, capsys, weight, a):
+        code, out, err = run_cli(capsys, "wps-equiv", "--weight", weight, "--a", a, "--b", "1,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestWitness:
     def test_all_even_weight(self, capsys):
@@ -335,8 +362,8 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize(
         "coordinate",
-        ["1" + "0" * 4999, "1/" + "3" * 4999, "1e5000", "1e-5000"],
-        ids=["digits", "denominator", "exponent", "negative-exponent"],
+        ["1" + "0" * 4999, "1/" + "3" * 4999, "1e5000", "1e-5000", "1e" + "9" * 4000],
+        ids=["digits", "denominator", "exponent", "negative-exponent", "long-exponent"],
     )
     def test_oversized_rational_exit_two(self, capsys, coordinate):
         code, out, err = run_cli(capsys, "wps-equiv", "--weight", "1,1", "--a", f"{coordinate},1", "--b", "1,1")
@@ -357,12 +384,13 @@ class TestSizeLimits:
 
 
 class TestInternalError:
-    def test_crash_exits_five(self, capsys, monkeypatch, fixtures_dir):
+    @pytest.mark.parametrize("fault", [RuntimeError, ValueError])
+    def test_crash_exits_five(self, capsys, monkeypatch, fixtures_dir, fault):
         def crash(cfg):
-            raise RuntimeError("simulated fault")
+            raise fault("simulated fault")
 
         monkeypatch.setattr(cli, "eves_invariant", crash)
         code, out, err = run_cli(capsys, "invariant", str(fixtures_dir / "cross_ratio_quadruple.json"))
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""
-        assert err.startswith("internal error: RuntimeError: simulated fault\n")
+        assert err.startswith(f"internal error: {fault.__name__}: simulated fault\n")

@@ -27,7 +27,7 @@ from eves import (
     validate_h,
     wps_equivalent,
 )
-from eves import linalg
+from eves import invariant, linalg
 from eves.invariant import canonical_point_reps
 from conftest import random_h_configuration, random_invertible_matrix
 
@@ -138,6 +138,20 @@ class TestSpanWork:
         monkeypatch.setattr(linalg, "rref", counting_rref)
         eves_invariant(cfg)
         assert len(calls) == spans
+
+    def test_each_tuple_bracketed_once_through_bracket(self, fixtures_dir, monkeypatch):
+        # evaluation goes through the public bracket, so a wrapper around it sees every tuple
+        cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
+        calls = []
+        original = invariant.bracket
+
+        def counting_bracket(t, basis, reps):
+            calls.append(t)
+            return original(t, basis, reps)
+
+        monkeypatch.setattr(invariant, "bracket", counting_bracket)
+        eves_invariant(cfg)
+        assert calls == [t for color in cfg.colors for t in color]
 
     def test_build_interns_spans(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
