@@ -68,7 +68,8 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return linalg.echelon_coords(self.basis, linalg.pivot_columns(self.basis), v) is not None
+        u = linalg.clear_denominators(linalg.vec(v))[0]
+        return linalg.IntegerEchelon(self.basis, len(u)).contains(u)
 
     def __str__(self) -> str:
         rows = "; ".join("(" + ", ".join(format_rational(x) for x in r) + ")" for r in self.basis)
@@ -104,6 +105,22 @@ def _as_rtuple(t) -> RTuple:
     return RTuple(tuple(t))
 
 
+def _span(rows: Sequence[Sequence[int]], interned: dict) -> Subspace | None:
+    """The span of independent integer rows, or None when they are dependent.
+
+    Spans are interned in ``interned`` by their primitive integer echelon
+    rows, which are canonical, so a ``Subspace`` is built once per new span.
+    """
+    echelon, pivots = linalg.integer_echelon(rows)
+    if len(pivots) != len(rows):
+        return None
+    key = tuple(map(tuple, echelon))
+    span = interned.get(key)
+    if span is None:
+        span = interned[key] = Subspace(tuple(map(linalg.scale_first_nonzero, echelon)))
+    return span
+
+
 def build_configuration(
     weight: Weight,
     arity: int,
@@ -130,6 +147,7 @@ def build_configuration(
         )
 
     table: dict[str, ProjPoint] = {}
+    cleared: dict[str, list[int]] = {}  # each point's coordinates with denominators cleared, once
     for name, value in points.items():
         if name in table:
             raise ConfigurationError(f"duplicate point name {name!r}")
@@ -141,11 +159,12 @@ def build_configuration(
                 f"point {name!r}: expected {dim + 1} coordinates, got {len(pt.coords)}"
             )
         table[name] = pt
+        cleared[name] = linalg.clear_denominators(pt.coords)[0]
 
     ell: int | None = None
     stored: list[tuple[RTuple, ...]] = []
     spans: dict[RTuple, Subspace] = {}
-    interned: dict[Matrix, Subspace] = {}  # one Subspace per distinct span, so its check runs once
+    interned: dict[tuple, Subspace] = {}
     for c, color in enumerate(colors):
         tuples = [_as_rtuple(t) for t in color]
         p_c = weight.parts[c]
@@ -171,15 +190,11 @@ def build_configuration(
                 if name not in table:
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
-                rows = [table[name].coords for name in t.members]
-                reduced, rk = linalg.rref(rows)
-                if rk != arity:
+                span = _span([cleared[name] for name in t.members], interned)
+                if span is None:
                     raise ConfigurationError(
                         f"colors[{c}][{k}]: dependent r-tuple {t.members}"
                     )
-                span = interned.get(reduced)
-                if span is None:
-                    span = interned[reduced] = Subspace(reduced)
                 spans[t] = span
         stored.append(tuple(sorted(tuples)))
 
@@ -197,11 +212,11 @@ def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
     for name in t.members:
         if name not in cfg.points:
             raise ConfigurationError(f"unknown point name {name!r}")
-        rows.append(cfg.points[name].coords)
-    reduced, rk = linalg.rref(rows)
-    if rk != len(t.members):
+        rows.append(linalg.clear_denominators(cfg.points[name].coords)[0])
+    span = _span(rows, {})
+    if span is None:
         raise ConfigurationError(f"dependent r-tuple {t.members}")
-    return Subspace(reduced)
+    return span
 
 
 def point_degree(cfg: Configuration, name: str, c: int) -> int:

@@ -82,22 +82,22 @@ class BasisChoice:
 class SpanBasis:
     """An ordered span basis with the work that depends only on it done once.
 
-    The basis is reduced once to its echelon form R.  A member's coordinates
-    in R are its entries in R's pivot columns, and the non-pivot columns check
-    that R spans it.  The determinant in the basis itself is the one in R
-    divided by that of the basis rows' own coordinates in R (their
-    pivot-column block), which is 1 for an echelon basis and is stored here.
+    The basis is reduced once to its echelon form R, which is kept in
+    integers (``linalg.IntegerEchelon``).  A member's coordinates in R are its
+    entries in R's pivot columns, and the other columns check that R spans
+    it.  The determinant in the basis itself is the one in R divided by that
+    of the basis rows' own coordinates in R (their pivot-column block), which
+    is 1 for an echelon basis and is stored here.
     """
 
-    __slots__ = ("reduced", "pivots", "block")
+    __slots__ = ("echelon", "block")
 
     def __init__(self, basis: Sequence[Sequence[Fraction]]) -> None:
         reduced, rk = linalg.rref(basis)
         if rk != len(basis):
             raise ValueError("basis rows are linearly dependent")
-        self.reduced = reduced
-        self.pivots = linalg.pivot_columns(reduced)
-        self.block = linalg.det([[row[c] for c in self.pivots] for row in basis])
+        self.echelon = linalg.IntegerEchelon(reduced, len(basis[0]) if basis else 0)
+        self.block = linalg.det([[row[c] for c in self.echelon.pivots] for row in basis])
 
 
 def bracket(
@@ -106,15 +106,19 @@ def bracket(
     """Determinant of the tuple members' coordinates in the given span basis.
 
     Pass a ``SpanBasis`` to reuse one reduction across the brackets of a span.
+    Each representative is cleared of denominators, checked and read in
+    integers; the one ``Fraction`` is the returned quotient.
     """
     span = basis if isinstance(basis, SpanBasis) else SpanBasis(basis)
-    coord_rows = []
+    echelon = span.echelon
+    block, scale = [], span.block.numerator
     for name in t.members:
-        coords = linalg.echelon_coords(span.reduced, span.pivots, reps[name])
-        if coords is None:
+        u, d = linalg.clear_denominators(reps[name])
+        if not echelon.contains(u):
             raise ValueError(f"basis does not span the representative of point {name!r}")
-        coord_rows.append(coords)
-    return linalg.det(coord_rows) / span.block
+        block.append([u[c] for c in echelon.pivots])
+        scale *= d
+    return Fraction(linalg.integer_det(block) * span.block.denominator, scale)
 
 
 def canonical_point_reps(cfg: Configuration) -> dict[str, Vector]:
@@ -156,10 +160,12 @@ def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None)
     spans = {s: SpanBasis(basis) for s, basis in bases.items()}
     coords = []
     for color in cfg.colors:
-        product = Fraction(1)
+        num = den = 1  # the product's numerator and denominator; one Fraction per color
         for t in color:
-            product *= bracket(t, spans[cfg.spans[t]], reps)
-        coords.append(product)
+            value = bracket(t, spans[cfg.spans[t]], reps)
+            num *= value.numerator
+            den *= value.denominator
+        coords.append(Fraction(num, den))
     return InvariantValue(WeightedPoint(tuple(coords), cfg.weight))
 
 

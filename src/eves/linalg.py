@@ -1,13 +1,21 @@
 """Small exact linear algebra over rational matrices.
 
-Everything operates on tuples of ``fractions.Fraction``; there is no floating
-point and no tolerance anywhere.  Matrices are tuples of row tuples.
+Rational matrices are tuples of row tuples of ``fractions.Fraction``; there is
+no floating point and no tolerance anywhere.  The arithmetic itself runs on
+Python integers: a row's denominators are cleared once by their lcm
+(``clear_denominators``), and two fraction-free (Bareiss) loops do the rest.
+``integer_echelon`` gives a span's primitive integer echelon rows, its pivots
+and its rank, and ``integer_det`` the determinant.  ``rref``, ``rank`` and
+``det`` are thin conversions over them that return rationals, and
+``IntegerEchelon`` tests span membership in integers.  Only ``mat_vec``,
+``mat_mul`` and ``scale_first_nonzero`` compute on ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -40,66 +48,102 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
+def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n and the lcm D of the entries' denominators, with row == n / D.
+
+    The entries must be ``int`` or ``Fraction``.
+    """
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
+    return [clear_denominators(vec(r))[0] for r in rows]
+
+
+def integer_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form of an integer matrix, in primitive integer rows.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each step replaces every
+    other row by (p * row - row[c] * pivot_row) / prev, where p is the new pivot
+    and prev the one before.  The division is exact, because every entry is,
+    up to sign, a minor of the input, which also bounds the entries' size.
+    At the end each nonzero row, divided by its gcd and signed so that its
+    pivot is positive, is the reduced echelon row scaled to primitive
+    integers: a canonical form of the row span.  Returns those rows and their
+    pivot columns; the rank is the number of pivots.
+    """
+    m = [list(r) for r in rows]
+    n_rows = len(m)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        for pr in range(k, n_rows):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        m[k], m[pr] = m[pr], m[k]
+        top = m[k]
+        p = top[c]
+        for i in range(n_rows):
+            if i != k:
+                row = m[i]
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+        if k + 1 == n_rows:
+            break
+    echelon = []
+    for row, c in zip(m, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        echelon.append([x // g for x in row])
+    return echelon, tuple(pivots)
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int]:
     """Reduced row echelon form (zero rows dropped) and the rank."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    piv_r = 0
-    for c in range(n_cols):
-        pr = next((r for r in range(piv_r, n_rows) if m[r][c] != 0), None)
-        if pr is None:
-            continue
-        m[piv_r], m[pr] = m[pr], m[piv_r]
-        p = m[piv_r][c]
-        m[piv_r] = [x / p for x in m[piv_r]]
-        for r in range(n_rows):
-            if r != piv_r and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[piv_r])]
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    return tuple(tuple(m[i]) for i in range(piv_r)), piv_r
+    echelon, pivots = integer_echelon(_cleared(rows))
+    return tuple(scale_first_nonzero(row) for row in echelon), len(pivots)
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return rref(rows)[1]
+    return len(integer_echelon(_cleared(rows))[1])
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant via fraction-free (Bareiss) elimination.
+def integer_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
 
-    Denominators are cleared row by row first, so the elimination itself runs
-    on integers with exact divisions only.
+    The list is overwritten.  Every division is exact: after step k each
+    remaining entry is a (k+1)-order minor of the input.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
     if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m: list[list[int]] = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        d = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        m.append([int(f * d) for f in fracs])
-        scale /= d
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pr = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pr is None:
-                return Fraction(0)
+                return 0
             m[k], m[pr] = m[pr], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = m[k][k]
-    return sign * scale * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1]
+
+
+def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant: denominators are cleared row by row, then ``integer_det``."""
+    cleared = [clear_denominators(vec(row)) for row in rows]
+    return Fraction(integer_det([ints for ints, _ in cleared]), prod(d for _, d in cleared))
 
 
 def pivot_columns(reduced: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
@@ -107,24 +151,37 @@ def pivot_columns(reduced: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     return tuple(next(c for c, val in enumerate(row) if val != 0) for row in reduced)
 
 
-def echelon_coords(
-    reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], v: Sequence[Fraction]
-) -> Vector | None:
-    """Coefficients x with sum(x[k] * reduced[k]) == v, or None if v is not in the span.
+class IntegerEchelon:
+    """A reduced row echelon form R of full rank, with ``width`` columns, in integers.
 
-    ``reduced`` must be a reduced row echelon form of full rank, as ``rref``
-    returns it, and ``pivots`` its ``pivot_columns``.  Row k has a 1 in its
-    pivot column and every other row a 0 there, so x[k] is v's entry in that
-    column; the other columns only decide membership.
+    ``denominator`` is the lcm D of R's denominators.  A vector's coordinates
+    in R are its entries at the pivot columns, because R is the identity
+    there; so an integer vector u lies in the span exactly when D·u[c] equals
+    the sum of u[pivot_k]·(D·R)[k][c] at every free (non-pivot) column c.
+    ``free`` pairs each free column c with the column (D·R)[k][c] over k.
     """
-    n = len(v)
-    if any(len(row) != n for row in reduced):
-        raise ValueError("basis/vector shape mismatch")
-    x = tuple(Fraction(v[c]) for c in pivots)
-    for c in range(n):
-        if c not in pivots and sum(xk * row[c] for xk, row in zip(x, reduced)) != v[c]:
-            return None
-    return x
+
+    __slots__ = ("width", "denominator", "pivots", "free")
+
+    def __init__(self, reduced: Sequence[Sequence[Fraction]], width: int) -> None:
+        if any(len(row) != width for row in reduced):
+            raise ValueError("basis/vector shape mismatch")
+        d = lcm(*[x.denominator for row in reduced for x in row])
+        rows = [[x.numerator * (d // x.denominator) for x in row] for row in reduced]
+        self.width = width
+        self.denominator = d
+        self.pivots = pivot_columns(reduced)
+        self.free = tuple((c, [row[c] for row in rows]) for c in range(width) if c not in self.pivots)
+
+    def contains(self, u: Sequence[int]) -> bool:
+        if len(u) != self.width:
+            raise ValueError("basis/vector shape mismatch")
+        x = [u[c] for c in self.pivots]
+        d = self.denominator
+        for c, column in self.free:
+            if d * u[c] != sum(map(mul, x, column)):
+                return False
+        return True
 
 
 def scale_first_nonzero(v: Sequence[Fraction]) -> Vector:

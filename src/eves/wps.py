@@ -242,8 +242,16 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"exponent exceeds the limit of {MAX_RATIONAL_CHARS}")
     try:
         return Fraction(body)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational {_shown(body)}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"invalid rational {_shown(body)}") from None
+
+
+def _shown(text: str) -> str:
+    """Input text for an error message: quoted when short, otherwise only its length."""
+    quoted = repr(text)
+    return quoted if len(quoted) <= 40 else f"of {len(text)} characters"
 
 
 def format_rational(x: Fraction) -> str:
@@ -269,9 +277,15 @@ def _int_text(n: int) -> str:
 
 
 def parse_weight(text: str, field: FieldKind = FieldKind.REAL_LIKE) -> Weight:
-    """Parse a comma-separated weight such as '2,2,4'."""
+    """Parse a comma-separated weight such as '2,2,4'.
+
+    Text longer than ``MAX_RATIONAL_CHARS`` is rejected before any parsing.
+    """
+    body = str(text)
+    if len(body) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"weight of {len(body)} characters exceeds the limit of {MAX_RATIONAL_CHARS}")
     try:
-        parts = tuple(int(x) for x in str(text).split(","))
+        parts = tuple(int(x) for x in body.split(","))
     except ValueError:
-        raise ValueError(f"invalid weight {text!r}: parts must be integers") from None
+        raise ValueError(f"invalid weight {_shown(body)}: parts must be integers") from None
     return Weight(parts, field)

@@ -371,6 +371,16 @@ class TestSizeLimits:
         assert "exceeds the limit of 4096" in err
         assert len(err) < 100
 
+    @pytest.mark.parametrize(
+        "weight, a",
+        [("7" * 5000 + ",1", "1,1"), ("1,1", "x" * 4000 + ",1"), ("1," + "x" * 4000, "1,1")],
+        ids=["long-weight", "long-invalid-rational", "long-invalid-weight"],
+    )
+    def test_long_argument_not_echoed(self, capsys, weight, a):
+        code, out, err = run_cli(capsys, "wps-equiv", "--weight", weight, "--a", a, "--b", "1,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err) < 100
+
     def test_oversized_coordinate_in_file_exit_two(self, capsys, tmp_path, fixtures_dir):
         doc = json.loads((fixtures_dir / "cross_ratio_quadruple.json").read_text())
         name = sorted(doc["points"])[0]

@@ -1,0 +1,167 @@
+"""The integer kernels against independent Fraction references in ``eves.oracle``.
+
+Matrices mix zeros, small rationals and rationals with numerators and
+denominators up to 10^12, with zero columns and dependent rows, from one row
+up to square.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from eves import (
+    ConfigurationError,
+    LinearMorphism,
+    RTuple,
+    Subspace,
+    Weight,
+    apply_morphism,
+    bracket,
+    build_configuration,
+    eves_invariant,
+    linalg,
+    span_of,
+    wps_equivalent,
+)
+from eves.oracle import _cofactor_det, _cramer_coords, _in_span, _pivot_columns, brute_invariant
+from conftest import random_h_configuration, random_simplex_configuration
+
+BIG = 10**12
+
+
+def big_rational(rng: random.Random) -> F:
+    return F(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+
+
+entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def matrices(draw, square: bool = False):
+    width = draw(st.integers(1, 5))
+    height = width if square else draw(st.integers(1, width))
+    rows = [[draw(entries) for _ in range(width)] for _ in range(height)]
+    for c in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+        for row in rows:
+            row[c] = F(0)
+    if height > 1 and draw(st.booleans()):  # make the last row depend on the others
+        coeffs = [draw(entries) for _ in range(height - 1)]
+        rows[-1] = [sum(a * row[c] for a, row in zip(coeffs, rows)) for c in range(width)]
+    return [tuple(row) for row in rows]
+
+
+def oracle_rank(rows) -> int:
+    """The largest k with a nonzero k-minor."""
+    for k in range(len(rows), 0, -1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(len(rows[0])), k):
+                if _cofactor_det([[rows[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+@given(matrices())
+def test_rref_rank_and_pivots_agree_with_minors(rows):
+    reduced, rk = linalg.rref(rows)
+    assert rk == len(reduced) == oracle_rank(rows) == linalg.rank(rows)
+    if rk == len(rows):
+        assert linalg.pivot_columns(reduced) == _pivot_columns(rows)
+    else:
+        with pytest.raises(ValueError, match="dependent"):
+            _pivot_columns(rows)
+    if rk:
+        assert all(_in_span(list(reduced), row) for row in rows)
+        assert linalg.pivot_columns(reduced) == _pivot_columns(list(reduced))
+
+
+@given(matrices())
+def test_integer_echelon_is_primitive_and_scales_to_rref(rows):
+    echelon, pivots = linalg.integer_echelon([linalg.clear_denominators(row)[0] for row in rows])
+    reduced, _ = linalg.rref(rows)
+    assert pivots == linalg.pivot_columns(reduced)
+    for row, ref, c in zip(echelon, reduced, pivots):
+        assert row[c] > 0 and math.gcd(*row) == 1
+        assert tuple(F(x, row[c]) for x in row) == ref
+
+
+@given(matrices(), st.lists(entries, min_size=5, max_size=5), st.booleans())
+def test_membership_agrees_with_minors(rows, values, combine):
+    reduced, rk = linalg.rref(rows)
+    if rk == 0:
+        return
+    if combine:  # a vector of the span, unless every coefficient vanishes
+        v = tuple(sum(a * row[c] for a, row in zip(values, rows)) for c in range(len(rows[0])))
+    else:
+        v = tuple(values[: len(rows[0])])
+    expected = _in_span(list(reduced), v)
+    assert Subspace(reduced).contains(v) == expected
+    u = linalg.clear_denominators(v)[0]
+    assert linalg.IntegerEchelon(reduced, len(v)).contains(u) == expected
+
+
+@given(matrices(square=True))
+def test_det_agrees_with_cofactor_expansion(rows):
+    assert linalg.det(rows) == _cofactor_det([list(row) for row in rows])
+
+
+@given(st.integers(1, 4), st.data())
+def test_bracket_in_non_echelon_scaled_basis_agrees_with_cramer(r, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    width = data.draw(st.integers(r, 5))
+    while True:
+        members = [tuple(big_rational(rng) for _ in range(width)) for _ in range(r)]
+        mix = [[F(rng.randint(-3, 3)) for _ in range(r)] for _ in range(r)]
+        if linalg.rank(members) == r and linalg.det(mix) != 0:
+            break
+    # another basis of the members' span, each row scaled by a nonzero large rational
+    scales = [big_rational(rng) or F(1) for _ in range(2 * r)]
+    basis = [
+        tuple(s * sum(a * m[c] for a, m in zip(coeffs, members)) for c in range(width))
+        for s, coeffs in zip(scales, mix)
+    ]
+    names = [f"m{k}" for k in range(r)]
+    reps = {name: tuple(s * x for x in m) for name, s, m in zip(names, scales[r:], members)}
+    cols = _pivot_columns(basis)
+    expected = _cofactor_det([_cramer_coords(basis, cols, reps[name]) for name in names])
+    assert bracket(RTuple(tuple(names)), basis, reps) == expected
+
+
+def with_large_denominators(cfg, rng):
+    """The image of cfg under a random invertible map with entries up to 10^12 over 10^12."""
+    n = cfg.dim + 1
+    while True:
+        m = tuple(tuple(big_rational(rng) for _ in range(n)) for _ in range(n))
+        if linalg.det(m) != 0:
+            return apply_morphism(cfg, LinearMorphism(m))
+
+
+def test_brute_invariant_agrees_on_large_denominators():
+    rng = random.Random(61)
+    corpus = [random_h_configuration(rng) for _ in range(12)] + [random_simplex_configuration(rng) for _ in range(12)]
+    for cfg in corpus:
+        image = with_large_denominators(cfg, rng)
+        assert max(x.denominator for p in image.points.values() for x in p.coords) > 10**6
+        value = eves_invariant(image).point
+        assert wps_equivalent(value, brute_invariant(image).point)
+        assert wps_equivalent(value, eves_invariant(cfg).point)
+
+
+def test_dependent_tuple_rejected_with_large_denominators():
+    rng = random.Random(67)
+    a = tuple(big_rational(rng) for _ in range(3))
+    b = tuple(F(-7, BIG + 1) * x for x in a)
+    pts = {"a": a, "b": b, "c": (F(1), F(0), F(0))}
+    with pytest.raises(ConfigurationError) as err:
+        build_configuration(Weight((1, 1)), 2, 2, [[("a", "c")], [("a", "b")]], pts)
+    assert str(err.value) == "colors[1][0]: dependent r-tuple ('a', 'b')"
+    cfg = build_configuration(Weight((1, 1)), 2, 2, [[("a", "c")], [("c", "a")]], pts)
+    with pytest.raises(ConfigurationError, match=r"^dependent r-tuple \('b', 'a'\)$"):
+        span_of(("b", "a"), cfg)
