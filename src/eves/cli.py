@@ -19,6 +19,7 @@ from . import oracle, reconstruct
 from .configuration import (
     Configuration,
     ConfigurationError,
+    _read_input,
     configuration_to_json,
     load_configuration,
     validate_h,
@@ -111,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(path: str) -> LinearMorphism:
+    text = _read_input(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except ValueError as exc:  # also an integer literal over the interpreter's digit limit
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:

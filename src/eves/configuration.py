@@ -12,11 +12,17 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
 from .wps import FieldKind, Weight, format_rational, parse_rational
+
+
+# Input limits, checked before parsing; far above the fixtures and the benchmark's inputs
+MAX_INPUT_BYTES = 16 * 2**20  # one configuration or matrix file
+MAX_TUPLES = 100_000  # tuples in one configuration file, all colors together
 
 
 class ConfigurationError(ValueError):
@@ -35,6 +41,11 @@ class ProjPoint:
         if all(c == 0 for c in coords):
             raise ConfigurationError(f"point {self.name!r}: zero vector is not a projective point")
         object.__setattr__(self, "coords", coords)
+
+    @cached_property
+    def canonical_rep(self) -> Vector:
+        """The coordinates divided by their first nonzero entry, computed on first use."""
+        return linalg.scale_first_nonzero(self.coords)
 
 
 @dataclass(frozen=True, order=True)
@@ -67,9 +78,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def echelon(self) -> linalg.IntegerEchelon:
+        """The basis in integers, for membership and brackets; built on first use."""
+        return linalg.IntegerEchelon(self.basis, len(self.basis[0]))
+
     def contains(self, v: Sequence[Fraction]) -> bool:
-        u = linalg.clear_denominators(linalg.vec(v))[0]
-        return linalg.IntegerEchelon(self.basis, len(u)).contains(u)
+        return self.echelon.contains(linalg.clear_denominators(linalg.vec(v))[0])
 
     def __str__(self) -> str:
         rows = "; ".join("(" + ", ".join(format_rational(x) for x in r) + ")" for r in self.basis)
@@ -385,6 +400,8 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         raise fail("points: must be an object")
     if not isinstance(doc["colors"], list):
         raise fail("colors: must be a list")
+    if sum(len(color) for color in doc["colors"] if isinstance(color, list)) > MAX_TUPLES:
+        raise fail(f"colors: more than the limit of {MAX_TUPLES} tuples")
 
     try:
         weight = Weight(tuple(doc["weight"]), FieldKind.REAL_LIKE)
@@ -418,10 +435,20 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         raise fail(str(exc)) from None
 
 
+def _read_input(path) -> str:
+    """The text of an input file, refused before decoding when over ``MAX_INPUT_BYTES``."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ConfigurationError(f"{path}: file exceeds the limit of {MAX_INPUT_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: file is not UTF-8 text") from None
+
+
 def load_configuration(path) -> Configuration:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_configuration(text, source=str(path))
+    return parse_configuration(_read_input(path), source=str(path))
 
 
 def configuration_to_json(cfg: Configuration) -> str:

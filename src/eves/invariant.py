@@ -9,6 +9,7 @@ whenever the configuration passes the admissibility check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -87,12 +88,16 @@ class SpanBasis:
     entries in R's pivot columns, and the other columns check that R spans
     it.  The determinant in the basis itself is the one in R divided by that
     of the basis rows' own coordinates in R (their pivot-column block), which
-    is 1 for an echelon basis and is stored here.
+    is stored here.  A ``Subspace`` is its own echelon form: it is taken as
+    is, with block determinant 1 and the integer form it keeps.
     """
 
     __slots__ = ("echelon", "block")
 
-    def __init__(self, basis: Sequence[Sequence[Fraction]]) -> None:
+    def __init__(self, basis: Sequence[Sequence[Fraction]] | Subspace) -> None:
+        if isinstance(basis, Subspace):
+            self.echelon, self.block = basis.echelon, Fraction(1)
+            return
         reduced, rk = linalg.rref(basis)
         if rk != len(basis):
             raise ValueError("basis rows are linearly dependent")
@@ -122,7 +127,7 @@ def bracket(
 
 
 def canonical_point_reps(cfg: Configuration) -> dict[str, Vector]:
-    return {name: linalg.scale_first_nonzero(pt.coords) for name, pt in cfg.points.items()}
+    return {name: pt.canonical_rep for name, pt in cfg.points.items()}
 
 
 def _require_h(cfg: Configuration) -> None:
@@ -131,17 +136,20 @@ def _require_h(cfg: Configuration) -> None:
         raise NotHConfigurationError(report.first_failure or "configuration is not admissible")
 
 
-def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[dict[Subspace, Matrix], dict[str, Vector]]:
-    bases: dict[Subspace, Matrix] = {s: s.basis for s in cfg.subspaces()}
+def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[dict[Subspace, SpanBasis], dict[str, Vector]]:
+    spans = {s: SpanBasis(s) for s in set(cfg.spans.values())}
     reps = canonical_point_reps(cfg)
     if choices is None:
-        return bases, reps
+        return spans, reps
     for subspace, rows in choices.subspace_bases.items():
         rows = linalg.mat(rows)
-        reduced, rk = linalg.rref(rows)
-        if rk != len(rows) or reduced != subspace.basis:
+        try:
+            span = SpanBasis(rows)
+        except ValueError:  # dependent or ragged rows
+            span = None
+        if span is None or span.echelon != subspace.echelon:
             raise ValueError(f"supplied basis does not span {subspace}")
-        bases[subspace] = rows
+        spans[subspace] = span
     for name, rep in choices.point_reps.items():
         if name not in cfg.points:
             raise ValueError(f"representative supplied for unknown point {name!r}")
@@ -150,21 +158,24 @@ def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[d
         if all(x == 0 for x in rep) or linalg.rank([rep, stored]) != 1:
             raise ValueError(f"representative for {name!r} is not a nonzero multiple of its coordinates")
         reps[name] = rep
-    return bases, reps
+    return spans, reps
 
 
 def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None) -> InvariantValue:
-    """The invariant computed with caller-supplied bases and representatives."""
+    """The invariant computed with caller-supplied bases and representatives.
+
+    Each distinct tuple of a color is bracketed once, and its bracket raised
+    to the tuple's multiplicity in the color.
+    """
     _require_h(cfg)
-    bases, reps = _resolve_choices(cfg, choices)
-    spans = {s: SpanBasis(basis) for s, basis in bases.items()}
+    spans, reps = _resolve_choices(cfg, choices)
     coords = []
     for color in cfg.colors:
         num = den = 1  # the product's numerator and denominator; one Fraction per color
-        for t in color:
+        for t, k in Counter(color).items():
             value = bracket(t, spans[cfg.spans[t]], reps)
-            num *= value.numerator
-            den *= value.denominator
+            num *= value.numerator ** k
+            den *= value.denominator ** k
         coords.append(Fraction(num, den))
     return InvariantValue(WeightedPoint(tuple(coords), cfg.weight))
 

@@ -8,8 +8,11 @@ E_p does; over non-reconstructible weights it distinguishes strictly fewer.
 
 ``check_reconstruction_identity`` is the independent check of that claim: it
 restricts the configuration to each pair (S_i, S_j), expands the pair to a
-weight (1,1) configuration by duplicating the lists lcm/p_i and lcm/p_j times,
-and compares the expansion's classical invariant with the projection.
+weight (1,1) configuration by repeating each tuple of the lists lcm/p_i and
+lcm/p_j times, and compares the expansion's classical invariant with the
+projection.  The pair's admissibility and all of its brackets are computed
+again; its points, tuples and spans are the parent's own objects, since the
+parent already checked and reduced them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .configuration import Configuration, ConfigurationError, build_configuration
+from .configuration import Configuration, ConfigurationError
 from .invariant import eves_invariant
 from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, wps_equivalent
 
@@ -49,31 +52,38 @@ class CompareReport:
 
 
 def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
-    """The two-color configuration (S_i, S_j) under weight (p_i, p_j)."""
+    """The two-color configuration (S_i, S_j) under weight (p_i, p_j).
+
+    It shares the parent's tuples, points and spans; ell is the parent's.
+    """
     n = len(cfg.weight.parts) - 1
     if not (0 <= i < j <= n):
         raise ValueError(f"color pair ({i},{j}) out of range for {n + 1} colors")
     parts = (cfg.weight.parts[i], cfg.weight.parts[j])
-    colors = [cfg.colors[i], cfg.colors[j]]
+    colors = (cfg.colors[i], cfg.colors[j])
     used = {name for color in colors for t in color for name in t.members}
     points = {name: cfg.points[name] for name in sorted(used)}
-    return build_configuration(Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, colors, points)
+    spans = {t: cfg.spans[t] for color in colors for t in color}
+    return Configuration(Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, cfg.ell, colors, points, spans)
 
 
 def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
-    """Duplicate the two color lists up to the lcm of their weight parts.
+    """Repeat each tuple of the two color lists up to the lcm of their weight parts.
 
     The result is a weight (1,1) configuration with ell multiplied by the lcm;
-    admissibility is inherited from the weighted input.
+    admissibility is inherited from the weighted input.  Each sorted list
+    stays sorted, and the points and spans are the input's own.
     """
     if len(pair_cfg.weight.parts) != 2:
         raise ValueError("expansion takes a two-color configuration")
     p_i, p_j = pair_cfg.weight.parts
-    ell = math.lcm(p_i, p_j)
-    a, b = ell // p_i, ell // p_j
-    colors = [list(pair_cfg.colors[0]) * a, list(pair_cfg.colors[1]) * b]
-    return build_configuration(
-        Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim, colors, pair_cfg.points
+    lcm = math.lcm(p_i, p_j)
+    colors = tuple(
+        tuple(t for t in color for _ in range(lcm // p)) for color, p in zip(pair_cfg.colors, (p_i, p_j))
+    )
+    return Configuration(
+        Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim, pair_cfg.ell * lcm,
+        colors, pair_cfg.points, pair_cfg.spans,
     )
 
 

@@ -16,6 +16,8 @@ settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# every fixture file except the matrix file is a configuration
+CONFIG_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json") if p.name != "projection_matrix.json")
 
 
 @pytest.fixture(scope="session")

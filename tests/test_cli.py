@@ -16,6 +16,8 @@ from eves import (
     parse_configuration,
     wps_equivalent,
 )
+from eves.configuration import MAX_INPUT_BYTES, MAX_TUPLES
+from conftest import CONFIG_FIXTURES
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +142,13 @@ class TestReconstruct:
             capsys, "reconstruct", str(fixtures_dir / "segment_pair_opposed.json"), "--oracle"
         )
         assert code == 0
+
+
+@pytest.mark.parametrize("name", CONFIG_FIXTURES)
+def test_oracle_never_mismatches_or_crashes(capsys, fixtures_dir, name):
+    for command in ("invariant", "reconstruct"):
+        code, _, err = run_cli(capsys, command, str(fixtures_dir / name), "--oracle")
+        assert code not in (4, 5), err
 
 
 class TestCompare:
@@ -391,6 +400,79 @@ class TestSizeLimits:
         assert code == 2 and out == ""
         assert "exceeds the limit of 4096" in err
         assert len(err) < 100 + len(str(path))
+
+
+def padded(text: str, size: int) -> str:
+    """``text`` followed by spaces up to ``size`` bytes of UTF-8."""
+    return text + " " * (size - len(text.encode()))
+
+
+def short_error(err: str, path) -> bool:
+    return err.startswith("error: ") and len(err) < 100 + len(str(path))
+
+
+class TestInputCaps:
+    def test_configuration_file_at_the_byte_cap(self, capsys, tmp_path, fixtures_dir):
+        path = tmp_path / "padded.json"
+        path.write_text(padded((fixtures_dir / "cross_ratio_quadruple.json").read_text(), MAX_INPUT_BYTES))
+        assert path.stat().st_size == MAX_INPUT_BYTES
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 0 and out.startswith("h_valid: true\n")
+
+    def test_configuration_file_over_the_byte_cap(self, capsys, tmp_path, fixtures_dir):
+        path = tmp_path / "padded.json"
+        path.write_text(padded((fixtures_dir / "cross_ratio_quadruple.json").read_text(), MAX_INPUT_BYTES + 1))
+        code, out, err = run_cli(capsys, "invariant", str(path))
+        assert code == 2 and out == ""
+        assert f"exceeds the limit of {MAX_INPUT_BYTES} bytes" in err and short_error(err, path)
+
+    def test_matrix_file_at_and_over_the_byte_cap(self, capsys, tmp_path, fixtures_dir):
+        matrix = (fixtures_dir / "projection_matrix.json").read_text()
+        source = str(fixtures_dir / "projection_source.json")
+        path = tmp_path / "matrix.json"
+        path.write_text(padded(matrix, MAX_INPUT_BYTES))
+        code, out, _ = run_cli(capsys, "transform", source, "--matrix", str(path))
+        assert code == 0 and out.startswith("{")
+        path.write_text(padded(matrix, MAX_INPUT_BYTES + 1))
+        code, out, err = run_cli(capsys, "transform", source, "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert f"exceeds the limit of {MAX_INPUT_BYTES} bytes" in err and short_error(err, path)
+
+    @staticmethod
+    def repeated_segment(path, sizes):
+        # one segment on the line P^1, repeated: admissible under weight (1,1) when the sizes agree
+        doc = {"field": "rational", "weight": [1, 1], "arity": 2, "dim": 1,
+               "points": {"a": ["1", "0"], "b": ["0", "1"]},
+               "colors": [[["a", "b"]] * n for n in sizes]}
+        path.write_text(json.dumps(doc))
+
+    def test_tuple_count_at_the_cap(self, capsys, tmp_path):
+        assert MAX_TUPLES % 2 == 0
+        path = tmp_path / "many.json"
+        self.repeated_segment(path, (MAX_TUPLES // 2, MAX_TUPLES // 2))
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 0 and out.startswith("h_valid: true\n")
+
+    def test_tuple_count_over_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "many.json"
+        self.repeated_segment(path, (MAX_TUPLES // 2, MAX_TUPLES // 2 + 1))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert f"more than the limit of {MAX_TUPLES} tuples" in err and short_error(err, path)
+
+    def test_caps_far_above_the_fixtures(self, fixtures_dir):
+        for path in fixtures_dir.glob("*.json"):
+            assert path.stat().st_size * 100 < MAX_INPUT_BYTES
+        for name in CONFIG_FIXTURES:
+            cfg = load_configuration(fixtures_dir / name)
+            assert sum(len(color) for color in cfg.colors) * 100 < MAX_TUPLES
+
+    def test_file_not_utf8_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"field": "r\xe9al"}')
+        code, out, err = run_cli(capsys, "invariant", str(path))
+        assert code == 2 and out == ""
+        assert "not UTF-8 text" in err and short_error(err, path)
 
 
 class TestInternalError:

@@ -18,16 +18,19 @@ from eves import (
     apply_morphism,
     bracket,
     build_configuration,
+    check_reconstruction_identity,
     cross_ratio,
     eves_invariant,
     eves_invariant_with_choices,
     load_configuration,
+    restrict_pair,
     signed_length_bracket,
     triangle_ratio,
+    unit_weight_expansion,
     validate_h,
     wps_equivalent,
 )
-from eves import invariant, linalg
+from eves import invariant, linalg, oracle
 from eves.invariant import canonical_point_reps
 from conftest import random_h_configuration, random_invertible_matrix
 
@@ -123,11 +126,24 @@ class TestEvesInvariant:
             eves_invariant(cfg)
 
 
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """The tuples passed to the public bracket during evaluation, in call order."""
+    calls = []
+    original = invariant.bracket
+
+    def counting_bracket(t, basis, reps):
+        calls.append(t)
+        return original(t, basis, reps)
+
+    monkeypatch.setattr(invariant, "bracket", counting_bracket)
+    return calls
+
+
 class TestSpanWork:
     def test_each_span_reduced_once(self, fixtures_dir, monkeypatch):
-        cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
-        spans = len(cfg.subspaces())
-        assert spans < sum(len(color) for color in cfg.colors)
+        # parsing reduces each distinct span once; canonical evaluation reduces
+        # none, and a BasisChoice reduces each supplied basis once
         calls = []
         rref = linalg.rref
 
@@ -136,8 +152,17 @@ class TestSpanWork:
             return rref(rows)
 
         monkeypatch.setattr(linalg, "rref", counting_rref)
+        cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
+        spans = cfg.subspaces()
+        assert len(spans) < sum(len(color) for color in cfg.colors)
+        assert len(calls) == len(spans)
+        calls.clear()
         eves_invariant(cfg)
-        assert len(calls) == spans
+        assert calls == []
+        rng = random.Random(5)
+        bases = {s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans[1:]}
+        eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases))
+        assert len(calls) == len(bases)
 
     def test_each_tuple_bracketed_once_through_bracket(self, fixtures_dir, monkeypatch):
         # evaluation goes through the public bracket, so a wrapper around it sees every tuple
@@ -152,6 +177,54 @@ class TestSpanWork:
         monkeypatch.setattr(invariant, "bracket", counting_bracket)
         eves_invariant(cfg)
         assert calls == [t for color in cfg.colors for t in color]
+
+    def test_repeated_tuples_bracketed_once_per_color(self, bracket_calls):
+        # (t0,t1) twice in color 0 and once in color 1, (t2,t3) in both colors
+        pts = {f"t{k}": (F(1), F(2 * k + 1, k + 2)) for k in range(4)}
+        lists = [
+            [("t0", "t1"), ("t2", "t3"), ("t0", "t1")],
+            [("t0", "t1"), ("t2", "t3"), ("t1", "t0")],
+        ]
+        cfg = build_configuration(Weight((1, 1)), 2, 1, lists, pts)
+        assert validate_h(cfg).h_valid
+        reps = canonical_point_reps(cfg)
+        expected = []
+        for color in lists:
+            product = F(1)
+            for members in color:
+                t = RTuple(members)
+                product *= bracket(t, cfg.spans[t].basis, reps)
+            expected.append(product)
+        value = eves_invariant(cfg).point
+        assert value.coords == tuple(expected)
+        assert wps_equivalent(value, oracle.brute_invariant(cfg).point)
+        assert bracket_calls == [t for color in cfg.colors for t in dict.fromkeys(color)]
+        assert len(bracket_calls) == 5
+
+    def test_expansion_brackets_each_distinct_tuple_once_per_color(self, fixtures_dir, bracket_calls):
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        expansion = unit_weight_expansion(restrict_pair(cfg, 0, 2))
+        assert expansion.weight.parts == (1, 1)
+        eves_invariant(expansion)
+        distinct = [t for color in expansion.colors for t in dict.fromkeys(color)]
+        assert bracket_calls == distinct
+        assert len(bracket_calls) < sum(len(color) for color in expansion.colors)
+
+    def test_canonical_representative_computed_once_per_point(self, fixtures_dir, monkeypatch):
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        calls = []
+        scale = linalg.scale_first_nonzero
+
+        def counting_scale(v):
+            calls.append(v)
+            return scale(v)
+
+        monkeypatch.setattr(linalg, "scale_first_nonzero", counting_scale)
+        first = eves_invariant(cfg).point
+        assert len(calls) == len(cfg.points)
+        assert check_reconstruction_identity(cfg, first)
+        assert eves_invariant(cfg).point == first
+        assert len(calls) == len(cfg.points)
 
     def test_build_interns_spans(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
@@ -200,6 +273,15 @@ class TestChoiceIndependence:
         bad = ((F(1), F(0)), (F(2), F(0)))
         with pytest.raises(ValueError, match="does not span"):
             eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={line: bad}))
+
+    def test_basis_of_another_span_rejected(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
+        first, second = cfg.subspaces()[:2]
+        with pytest.raises(ValueError, match="supplied basis does not span"):
+            eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={first: second.basis}))
+        basis = linalg.mat_mul(((F(2), F(1)), (F(1), F(1))), first.basis)
+        value = eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={first: basis})).point
+        assert wps_equivalent(value, eves_invariant(cfg).point)
 
     def test_random_choices_on_corpus(self):
         rng = random.Random(13)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,7 @@ from eves import (
 )
 from eves.reconstruct import render_compare, render_reconstruction
 from eves.wps import index_pairs
-from conftest import random_h_configuration, random_invertible_matrix
+from conftest import CONFIG_FIXTURES, FIXTURES, random_h_configuration, random_invertible_matrix
 
 ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
 
@@ -83,6 +84,56 @@ class TestUnitWeightExpansion:
         cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
         with pytest.raises(ValueError, match="two-color"):
             unit_weight_expansion(cfg)
+
+
+def derived_corpus():
+    """The fixture configurations and 40 random ones with 3 or 4 colors."""
+    corpus = [load_configuration(FIXTURES / name) for name in CONFIG_FIXTURES]
+    rng = random.Random(47)
+    for _ in range(40):
+        parts = tuple(rng.randint(1, 4) for _ in range(rng.randint(3, 4)))
+        corpus.append(random_h_configuration(rng, parts=parts))
+    return corpus
+
+
+def assert_same_configuration(derived, built, parent):
+    assert derived == built  # weight, arity, dim, ell, colors and points
+    assert list(derived.points) == list(built.points)
+    assert derived.spans == built.spans
+    assert set(derived.spans) == set(derived.all_tuples())
+    # the parent's own objects, not copies
+    assert all(derived.points[name] is parent.points[name] for name in derived.points)
+    assert all(derived.spans[t] is parent.spans[t] for t in derived.spans)
+
+
+class TestDerivedConfigurations:
+    """Pairs and expansions equal what build_configuration makes of the same lists."""
+
+    def test_restrict_pair_matches_build(self):
+        for cfg in derived_corpus():
+            for i, j in index_pairs(cfg.weight):
+                colors = [cfg.colors[i], cfg.colors[j]]
+                used = sorted({name for color in colors for t in color for name in t.members})
+                built = build_configuration(
+                    Weight((cfg.weight.parts[i], cfg.weight.parts[j])), cfg.arity, cfg.dim,
+                    colors, {name: cfg.points[name] for name in used},
+                )
+                pair = restrict_pair(cfg, i, j)
+                assert_same_configuration(pair, built, cfg)
+                assert pair.ell == cfg.ell
+
+    def test_unit_weight_expansion_matches_build(self):
+        for cfg in derived_corpus():
+            for i, j in index_pairs(cfg.weight):
+                pair = restrict_pair(cfg, i, j)
+                p_i, p_j = pair.weight.parts
+                lcm = math.lcm(p_i, p_j)
+                colors = [list(pair.colors[0]) * (lcm // p_i), list(pair.colors[1]) * (lcm // p_j)]
+                built = build_configuration(Weight((1, 1)), pair.arity, pair.dim, colors, pair.points)
+                expansion = unit_weight_expansion(pair)
+                assert_same_configuration(expansion, built, cfg)
+                assert expansion.ell == pair.ell * lcm
+                assert expansion.colors == tuple(tuple(sorted(c)) for c in colors)
 
 
 class TestReconstructionVector:
