@@ -23,7 +23,6 @@ from .invariant import (
     LinearMorphism,
     MorphismError,
     NotHConfigurationError,
-    SpanBasis,
     TrianglePattern,
     apply_morphism,
     bracket,

@@ -9,7 +9,6 @@ witness.  Exit codes: 0 success / positive verdict, 1 negative verdict,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import traceback
@@ -19,7 +18,7 @@ from . import oracle, reconstruct
 from .configuration import (
     Configuration,
     ConfigurationError,
-    _read_input,
+    _load_matrix,
     configuration_to_json,
     load_configuration,
     validate_h,
@@ -111,32 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(path: str) -> LinearMorphism:
-    text = _read_input(path)
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer literal over the interpreter's digit limit
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ConfigurationError(f"{path}: JSON nests too deeply") from None
-    if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
-        raise ConfigurationError(f"{path}: matrix must be a non-empty array of rows")
-    rows = []
-    for i, row in enumerate(doc):
-        entries = []
-        for j, value in enumerate(row):
-            if isinstance(value, bool) or isinstance(value, float):
-                raise ConfigurationError(f"{path}: row {i} column {j}: entries must be exact rationals")
-            try:
-                entries.append(parse_rational(str(value)))
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}: row {i} column {j}: {exc}") from None
-        rows.append(entries)
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ConfigurationError(f"{path}: matrix rows have unequal lengths")
-    return LinearMorphism(tuple(tuple(r) for r in rows))
-
-
 def _parse_point(weight: Weight, text: str) -> WeightedPoint:
     coords = tuple(parse_rational(x) for x in text.split(","))
     return WeightedPoint(coords, weight)
@@ -151,7 +124,7 @@ def _render_report(report) -> str:
         q = report.point_quotients.get(name)
         suffix = f" quotient {q}" if q is not None else ""
         lines.append(f"point {name}: degrees ({degs}){suffix}")
-    for subspace in sorted(report.subspace_degrees, key=lambda s: tuple(map(tuple, s.basis))):
+    for subspace in report.subspace_degrees:  # in Configuration.subspaces() order
         degs = ",".join(str(d) for d in report.subspace_degrees[subspace])
         m = report.subspace_multiplicities.get(subspace)
         suffix = f" multiplicity {m}" if m is not None else ""
@@ -235,8 +208,7 @@ def run(args: argparse.Namespace) -> int:
 
     if args.command == "transform":
         cfg = load_configuration(args.input)
-        morphism = _load_matrix(args.matrix)
-        image = apply_morphism(cfg, morphism)
+        image = apply_morphism(cfg, LinearMorphism(_load_matrix(args.matrix)))
         out.write(configuration_to_json(image))
         if args.oracle and not _oracle_invariant_matches(image):
             return mismatch("brute-force invariant of the image differs")

@@ -91,10 +91,6 @@ class Subspace:
         return f"span[{rows}]"
 
 
-def _sort_key(s: Subspace) -> tuple:
-    return tuple(tuple(r) for r in s.basis)
-
-
 @dataclass(frozen=True)
 class Configuration:
     weight: Weight
@@ -111,7 +107,7 @@ class Configuration:
 
     def subspaces(self) -> tuple[Subspace, ...]:
         """Distinct spans, in deterministic basis order."""
-        return tuple(sorted(set(self.spans.values()), key=_sort_key))
+        return tuple(sorted(set(self.spans.values()), key=lambda s: s.basis))
 
 
 def _as_rtuple(t) -> RTuple:
@@ -358,27 +354,33 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def _coord(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ConfigurationError(f"{where}: coordinates must be exact rationals, got {value!r}")
-    if isinstance(value, (int, str)):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from None
-    raise ConfigurationError(f"{where}: coordinates must be rational strings or integers")
-
-
-def parse_configuration(text: str, source: str = "<string>") -> Configuration:
-    """Parse the JSON configuration format, with positional diagnostics."""
+def _decode(text: str, source: str, object_pairs_hook=None):
+    """The JSON document in ``text``; a decoding failure is a ``ConfigurationError`` naming ``source``."""
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
     except ValueError as exc:  # also an integer literal over the interpreter's digit limit
         raise ConfigurationError(f"{source}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigurationError(f"{source}: JSON nests too deeply") from None
+
+
+def _rational(value, where: str) -> Fraction:
+    """A JSON entry read as an exact rational: a rational string or an integer."""
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ConfigurationError(f"{where}: entries must be exact rationals, got {value!r}")
+    if isinstance(value, (int, str)):
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+    raise ConfigurationError(f"{where}: entries must be rational strings or integers")
+
+
+def parse_configuration(text: str, source: str = "<string>") -> Configuration:
+    """Parse the JSON configuration format, with positional diagnostics."""
+    doc = _decode(text, source, _reject_duplicate_keys)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{source}: top level must be an object")
 
@@ -413,7 +415,7 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         if not isinstance(coords, list):
             raise fail(f"points[{name!r}]: must be a list of rationals")
         try:
-            values = [_coord(v, f"points[{name!r}][{k}]") for k, v in enumerate(coords)]
+            values = [_rational(v, f"points[{name!r}][{k}]") for k, v in enumerate(coords)]
             points[name] = ProjPoint(name, tuple(values))
         except ConfigurationError as exc:
             raise fail(str(exc)) from None
@@ -449,6 +451,20 @@ def _read_input(path) -> str:
 
 def load_configuration(path) -> Configuration:
     return parse_configuration(_read_input(path), source=str(path))
+
+
+def _load_matrix(path) -> Matrix:
+    """The rows of a matrix file: a non-empty JSON array of equally long rows of rationals."""
+    doc = _decode(_read_input(path), str(path))
+    if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
+        raise ConfigurationError(f"{path}: matrix must be a non-empty array of rows")
+    rows = tuple(
+        tuple(_rational(value, f"{path}: row {i} column {j}") for j, value in enumerate(row))
+        for i, row in enumerate(doc)
+    )
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ConfigurationError(f"{path}: matrix rows have unequal lengths")
+    return rows
 
 
 def configuration_to_json(cfg: Configuration) -> str:

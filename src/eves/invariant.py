@@ -5,6 +5,10 @@ coordinates in a chosen ordered basis of their span.  Multiplying the brackets
 color by color yields a weighted projective point that is independent of every
 choice made (representatives, bases, list order) and invariant under morphisms
 whenever the configuration passes the admissibility check.
+
+Brackets are computed in each span's reduced echelon basis, the
+``Subspace`` itself.  Any other basis of a span enters only as its
+determinant in that echelon basis, which divides the bracket.
 """
 
 from __future__ import annotations
@@ -80,50 +84,55 @@ class BasisChoice:
     point_reps: dict[str, Vector] = field(default_factory=dict)
 
 
-class SpanBasis:
-    """An ordered span basis with the work that depends only on it done once.
-
-    The basis is reduced once to its echelon form R, which is kept in
-    integers (``linalg.IntegerEchelon``).  A member's coordinates in R are its
-    entries in R's pivot columns, and the other columns check that R spans
-    it.  The determinant in the basis itself is the one in R divided by that
-    of the basis rows' own coordinates in R (their pivot-column block), which
-    is stored here.  A ``Subspace`` is its own echelon form: it is taken as
-    is, with block determinant 1 and the integer form it keeps.
-    """
-
-    __slots__ = ("echelon", "block")
-
-    def __init__(self, basis: Sequence[Sequence[Fraction]] | Subspace) -> None:
-        if isinstance(basis, Subspace):
-            self.echelon, self.block = basis.echelon, Fraction(1)
-            return
-        reduced, rk = linalg.rref(basis)
-        if rk != len(basis):
-            raise ValueError("basis rows are linearly dependent")
-        self.echelon = linalg.IntegerEchelon(reduced, len(basis[0]) if basis else 0)
-        self.block = linalg.det([[row[c] for c in self.echelon.pivots] for row in basis])
-
-
 def bracket(
-    t: RTuple, basis: Sequence[Sequence[Fraction]] | SpanBasis, reps: Mapping[str, Sequence[Fraction]]
+    t: RTuple, basis: Sequence[Sequence[Fraction]] | Subspace, reps: Mapping[str, Sequence[Fraction]]
 ) -> Fraction:
     """Determinant of the tuple members' coordinates in the given span basis.
 
-    Pass a ``SpanBasis`` to reuse one reduction across the brackets of a span.
-    Each representative is cleared of denominators, checked and read in
-    integers; the one ``Fraction`` is the returned quotient.
+    A ``Subspace`` is its own reduced echelon basis R, kept in integers
+    (``Subspace.echelon``): a member's coordinates in R are its entries at R's
+    pivot columns, and the other columns check that R spans it.  Each
+    representative is cleared of denominators, checked and read in integers;
+    the one ``Fraction`` is the returned quotient.  Other basis rows B are
+    reduced to their span first, and the bracket in B is the one in R divided
+    by B's determinant in R.
     """
-    span = basis if isinstance(basis, SpanBasis) else SpanBasis(basis)
+    if isinstance(basis, Subspace):
+        span, block = basis, None
+    else:
+        rows = linalg.mat(basis)
+        reduced, rk = linalg.rref(rows)
+        if rk != len(rows):
+            raise ValueError("basis rows are linearly dependent")
+        span = Subspace(reduced)
+        block = _basis_det(span, rows)
     echelon = span.echelon
-    block, scale = [], span.block.numerator
+    minor, scale = [], 1
     for name in t.members:
         u, d = linalg.clear_denominators(reps[name])
         if not echelon.contains(u):
             raise ValueError(f"basis does not span the representative of point {name!r}")
-        block.append([u[c] for c in echelon.pivots])
+        minor.append([u[c] for c in echelon.pivots])
         scale *= d
-    return Fraction(linalg.integer_det(block) * span.block.denominator, scale)
+    value = Fraction(linalg.integer_det(minor), scale)
+    return value if block is None else value / block
+
+
+def _basis_det(span: Subspace, rows: Matrix) -> Fraction:
+    """Determinant of basis rows of ``span`` in its echelon basis R.
+
+    R is the identity at its pivot columns, so the rows' coordinates in R are
+    their entries there.
+    """
+    return linalg.det([[row[c] for c in span.echelon.pivots] for row in rows])
+
+
+def _supplied_basis_det(span: Subspace, rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """``_basis_det`` of rows supplied for ``span``, refused unless they are a basis of it."""
+    rows = linalg.mat(rows)
+    if any(len(row) != len(span.basis[0]) for row in rows) or linalg.rref(rows) != (span.basis, len(rows)):
+        raise ValueError(f"supplied basis does not span {span}")
+    return _basis_det(span, rows)
 
 
 def canonical_point_reps(cfg: Configuration) -> dict[str, Vector]:
@@ -136,20 +145,12 @@ def _require_h(cfg: Configuration) -> None:
         raise NotHConfigurationError(report.first_failure or "configuration is not admissible")
 
 
-def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[dict[Subspace, SpanBasis], dict[str, Vector]]:
-    spans = {s: SpanBasis(s) for s in set(cfg.spans.values())}
+def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[dict[Subspace, Fraction], dict[str, Vector]]:
+    """Each supplied basis's determinant in its span's echelon basis, and the representatives."""
     reps = canonical_point_reps(cfg)
     if choices is None:
-        return spans, reps
-    for subspace, rows in choices.subspace_bases.items():
-        rows = linalg.mat(rows)
-        try:
-            span = SpanBasis(rows)
-        except ValueError:  # dependent or ragged rows
-            span = None
-        if span is None or span.echelon != subspace.echelon:
-            raise ValueError(f"supplied basis does not span {subspace}")
-        spans[subspace] = span
+        return {}, reps
+    dets = {s: _supplied_basis_det(s, rows) for s, rows in choices.subspace_bases.items()}
     for name, rep in choices.point_reps.items():
         if name not in cfg.points:
             raise ValueError(f"representative supplied for unknown point {name!r}")
@@ -158,22 +159,26 @@ def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[d
         if all(x == 0 for x in rep) or linalg.rank([rep, stored]) != 1:
             raise ValueError(f"representative for {name!r} is not a nonzero multiple of its coordinates")
         reps[name] = rep
-    return spans, reps
+    return dets, reps
 
 
 def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None) -> InvariantValue:
     """The invariant computed with caller-supplied bases and representatives.
 
-    Each distinct tuple of a color is bracketed once, and its bracket raised
-    to the tuple's multiplicity in the color.
+    Each distinct tuple of a color is bracketed once in its span's echelon
+    basis, divided by the supplied basis's determinant there if one was
+    given, and raised to the tuple's multiplicity in the color.
     """
     _require_h(cfg)
-    spans, reps = _resolve_choices(cfg, choices)
+    dets, reps = _resolve_choices(cfg, choices)
     coords = []
     for color in cfg.colors:
         num = den = 1  # the product's numerator and denominator; one Fraction per color
         for t, k in Counter(color).items():
-            value = bracket(t, spans[cfg.spans[t]], reps)
+            span = cfg.spans[t]
+            value = bracket(t, span, reps)
+            if span in dets:
+                value /= dets[span]
             num *= value.numerator ** k
             den *= value.denominator ** k
         coords.append(Fraction(num, den))
@@ -332,8 +337,7 @@ def signed_length_bracket(
     basis = linalg.mat(basis)
     if any(row[0] != 1 for row in basis):
         raise ValueError("basis vectors must be chart-normalized (first coordinate 1)")
-    if linalg.rank(basis) != 2 or any(not line.contains(row) for row in basis):
-        raise ValueError(f"basis does not span {line}")
+    block = _supplied_basis_det(line, basis)
     if len(seg.members) != 2:
         raise ValueError("a directed segment has exactly two endpoints")
     reps = {}
@@ -342,4 +346,4 @@ def signed_length_bracket(
         if coords[0] == 0:
             raise ChartError(f"endpoint {name!r} is at infinity in the chart x_0 != 0")
         reps[name] = tuple(x / coords[0] for x in coords)
-    return bracket(seg, basis, reps)
+    return bracket(seg, line, reps) / block

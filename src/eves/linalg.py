@@ -173,14 +173,6 @@ class IntegerEchelon:
         self.pivots = pivot_columns(reduced)
         self.free = tuple((c, [row[c] for row in rows]) for c in range(width) if c not in self.pivots)
 
-    def __eq__(self, other) -> bool:
-        """Equal exactly when the reduced echelon forms are: R is the identity at its pivots."""
-        if not isinstance(other, IntegerEchelon):
-            return NotImplemented
-        return (self.width, self.denominator, self.pivots, self.free) == (
-            other.width, other.denominator, other.pivots, other.free
-        )
-
     def contains(self, u: Sequence[int]) -> bool:
         if len(u) != self.width:
             raise ValueError("basis/vector shape mismatch")

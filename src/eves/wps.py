@@ -37,6 +37,8 @@ class Weight:
 
     def __post_init__(self) -> None:
         parts = tuple(int(p) for p in self.parts)
+        if any(isinstance(p, bool) or p != q for p, q in zip(self.parts, parts)):
+            raise ValueError("weight parts must be integers")
         if len(parts) < 2:
             raise ValueError("weight needs at least two parts")
         if any(p < 1 for p in parts):

@@ -235,6 +235,15 @@ class TestTransform:
         assert code == 2
         assert "error:" in err
 
+    def test_null_matrix_entry_exit_two(self, capsys, tmp_path, fixtures_dir):
+        path = tmp_path / "m.json"
+        path.write_text('[["1", "0"], ["0", null]]')
+        code, _, err = run_cli(
+            capsys, "transform", str(fixtures_dir / "cross_ratio_quadruple.json"), "--matrix", str(path)
+        )
+        assert code == 2
+        assert err.startswith(f"error: {path}: row 1 column 1: ") and "None" not in err
+
     def test_deeply_nested_matrix_exit_two(self, capsys, tmp_path, fixtures_dir):
         path = tmp_path / "m.json"
         path.write_text("[" * 100000)

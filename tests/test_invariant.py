@@ -85,6 +85,11 @@ class TestBracket:
         reps = {"a": (F(3), F(5), F(7)), "b": (F(0), F(1), F(2))}
         assert bracket(RTuple(("a", "b")), basis, reps) == -3
 
+    def test_dependent_members_in_the_span_bracket_to_zero(self):
+        reps = {"a": (F(1), F(2), F(3)), "b": (F(2), F(4), F(6))}
+        basis = ((F(1), F(2), F(3)), (F(0), F(0), F(1)))
+        assert bracket(RTuple(("a", "b")), basis, reps) == 0
+
     def test_dependent_basis_rejected(self):
         reps = {"a": (F(1), F(2), F(3)), "b": (F(2), F(4), F(6))}
         dependent = ((F(1), F(2), F(3)), (F(2), F(4), F(6)))
@@ -273,6 +278,13 @@ class TestChoiceIndependence:
         bad = ((F(1), F(0)), (F(2), F(0)))
         with pytest.raises(ValueError, match="does not span"):
             eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={line: bad}))
+
+    def test_ragged_basis_rejected(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
+        line = cfg.spans[cfg.colors[0][0]]
+        ragged = ((F(1), F(0)), (F(0), F(1), F(5)))
+        with pytest.raises(ValueError, match="supplied basis does not span"):
+            eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={line: ragged}))
 
     def test_basis_of_another_span_rejected(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
@@ -500,6 +512,19 @@ class TestSignedLength:
         line, pts = self.line()
         with pytest.raises(ValueError, match="chart-normalized"):
             signed_length_bracket(line, RTuple(("o", "u")), ((F(2), F(0)), (F(1), F(1))), pts)
+
+    def test_zero_length_segment(self):
+        line, pts = self.line()
+        basis = ((F(1), F(0)), (F(1), F(1)))
+        assert signed_length_bracket(line, RTuple(("o", "o")), basis, pts) == 0
+
+    def test_chart_basis_of_another_line_rejected(self):
+        # the line z = 0 in the plane, and a chart basis of the line y = 0
+        line = Subspace(((F(1), F(0), F(0)), (F(0), F(1), F(0))))
+        pts = {"o": ProjPoint("o", (F(1), F(0), F(0))), "u": ProjPoint("u", (F(1), F(1), F(0)))}
+        basis = ((F(1), F(0), F(0)), (F(1), F(0), F(1)))
+        with pytest.raises(ValueError, match="basis does not span"):
+            signed_length_bracket(line, RTuple(("o", "u")), basis, pts)
 
     def test_length_ratios_basis_free(self):
         line, pts = self.line()

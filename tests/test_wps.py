@@ -41,6 +41,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Weight((1, 0))
 
+    @pytest.mark.parametrize("part", [1.5, F(7, 2), True, "3"])
+    def test_weight_refuses_non_integer_parts(self, part):
+        # int() would truncate 1.5 and 7/2 and read True as 1: a wrong weight, with no error
+        with pytest.raises(ValueError, match="weight parts must be integers"):
+            Weight((part, 2))
+
+    def test_weight_keeps_integral_parts(self):
+        assert Weight((F(4, 2), 2.0)).parts == (2, 2)
+
     def test_point_validation(self):
         with pytest.raises(ValueError):
             wpt([0, 0], [1, 1])
