@@ -64,6 +64,8 @@ class Subspace:
 
     def __post_init__(self) -> None:
         basis = linalg.mat(self.basis)
+        if not basis:
+            raise ConfigurationError("subspace basis must have at least one row")
         reduced, rk = linalg.rref(basis)
         if rk != len(basis) or reduced != basis:
             raise ConfigurationError("subspace basis must be reduced echelon rows of full rank")
@@ -100,6 +102,9 @@ class Configuration:
     colors: tuple[tuple[RTuple, ...], ...]
     points: dict[str, ProjPoint]
     spans: dict[RTuple, Subspace] = field(compare=False, repr=False, default_factory=dict)
+    # each distinct tuple's bracket on canonical representatives in its span's
+    # echelon basis, as an unreduced (numerator, denominator) pair of ints
+    brackets: dict[RTuple, tuple[int, int]] = field(compare=False, repr=False, default_factory=dict)
 
     def all_tuples(self) -> Iterable[RTuple]:
         for color in self.colors:
@@ -116,20 +121,23 @@ def _as_rtuple(t) -> RTuple:
     return RTuple(tuple(t))
 
 
-def _span(rows: Sequence[Sequence[int]], interned: dict) -> Subspace | None:
-    """The span of independent integer rows, or None when they are dependent.
+def _span(rows: Sequence[Sequence[int]], interned: dict) -> tuple[Subspace, int] | None:
+    """The span of independent integer rows and their determinant in its
+    echelon basis, or None when they are dependent.
 
+    The echelon basis is the identity at its pivot columns, so that
+    determinant is the rows' minor there, which the elimination returns.
     Spans are interned in ``interned`` by their primitive integer echelon
     rows, which are canonical, so a ``Subspace`` is built once per new span.
     """
-    echelon, pivots = linalg.integer_echelon(rows)
+    echelon, pivots, minor = linalg.integer_echelon_minor(rows)
     if len(pivots) != len(rows):
         return None
     key = tuple(map(tuple, echelon))
     span = interned.get(key)
     if span is None:
         span = interned[key] = Subspace(tuple(map(linalg.scale_first_nonzero, echelon)))
-    return span
+    return span, minor
 
 
 def build_configuration(
@@ -145,6 +153,11 @@ def build_configuration(
     one positive integer ell for every color), checks that every tuple names
     known points and is linearly independent, and stores each color as a
     deterministically sorted multiset.
+
+    The elimination that finds a tuple's span also brackets the tuple: a
+    canonical representative is the point's cleared integer row u divided by
+    its lead, the first nonzero entry of u, so the canonical bracket is the
+    rows' minor at the span's pivots over the product of the members' leads.
     """
     if arity < 1:
         raise ConfigurationError("arity must be >= 1")
@@ -159,6 +172,7 @@ def build_configuration(
 
     table: dict[str, ProjPoint] = {}
     cleared: dict[str, list[int]] = {}  # each point's coordinates with denominators cleared, once
+    leads: dict[str, int] = {}  # the first nonzero entry of each cleared row
     for name, value in points.items():
         if name in table:
             raise ConfigurationError(f"duplicate point name {name!r}")
@@ -170,11 +184,13 @@ def build_configuration(
                 f"point {name!r}: expected {dim + 1} coordinates, got {len(pt.coords)}"
             )
         table[name] = pt
-        cleared[name] = linalg.clear_denominators(pt.coords)[0]
+        row = cleared[name] = linalg.clear_denominators(pt.coords)[0]
+        leads[name] = next(filter(None, row))
 
     ell: int | None = None
     stored: list[tuple[RTuple, ...]] = []
     spans: dict[RTuple, Subspace] = {}
+    brackets: dict[RTuple, tuple[int, int]] = {}
     interned: dict[tuple, Subspace] = {}
     for c, color in enumerate(colors):
         tuples = [_as_rtuple(t) for t in color]
@@ -201,16 +217,20 @@ def build_configuration(
                 if name not in table:
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
-                span = _span([cleared[name] for name in t.members], interned)
-                if span is None:
+                found = _span([cleared[name] for name in t.members], interned)
+                if found is None:
                     raise ConfigurationError(
                         f"colors[{c}][{k}]: dependent r-tuple {t.members}"
                     )
-                spans[t] = span
+                spans[t], minor = found
+                lead_product = 1
+                for name in t.members:
+                    lead_product *= leads[name]
+                brackets[t] = minor, lead_product
         stored.append(tuple(sorted(tuples)))
 
     assert ell is not None
-    return Configuration(weight, arity, dim, ell, tuple(stored), table, spans)
+    return Configuration(weight, arity, dim, ell, tuple(stored), table, spans, brackets)
 
 
 def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
@@ -224,10 +244,10 @@ def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
         if name not in cfg.points:
             raise ConfigurationError(f"unknown point name {name!r}")
         rows.append(linalg.clear_denominators(cfg.points[name].coords)[0])
-    span = _span(rows, {})
-    if span is None:
+    found = _span(rows, {})
+    if found is None:
         raise ConfigurationError(f"dependent r-tuple {t.members}")
-    return span
+    return found[0]
 
 
 def point_degree(cfg: Configuration, name: str, c: int) -> int:

@@ -8,7 +8,9 @@ whenever the configuration passes the admissibility check.
 
 Brackets are computed in each span's reduced echelon basis, the
 ``Subspace`` itself.  Any other basis of a span enters only as its
-determinant in that echelon basis, which divides the bracket.
+determinant in that echelon basis, which divides the bracket.  Evaluation
+reads each tuple's canonical bracket off the configuration, where
+``build_configuration`` stored it, and supplied choices enter as scalars.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def bracket(
     representative is cleared of denominators, checked and read in integers;
     the one ``Fraction`` is the returned quotient.  Other basis rows B are
     reduced to their span first, and the bracket in B is the one in R divided
-    by B's determinant in R.
+    by B's determinant in R; no rows, or rows of unequal length, are refused.
     """
     if isinstance(basis, Subspace):
         span, block = basis, None
@@ -145,12 +147,18 @@ def _require_h(cfg: Configuration) -> None:
         raise NotHConfigurationError(report.first_failure or "configuration is not admissible")
 
 
-def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[dict[Subspace, Fraction], dict[str, Vector]]:
-    """Each supplied basis's determinant in its span's echelon basis, and the representatives."""
-    reps = canonical_point_reps(cfg)
+def _chosen_brackets(cfg: Configuration, choices: BasisChoice | None) -> Mapping[RTuple, tuple[int, int]]:
+    """Each distinct tuple's bracket in the chosen bases and representatives.
+
+    A supplied representative is λ times the canonical one, which is 1 at the
+    point's lead index, so λ is its entry there and multiplies the brackets
+    of the point's tuples.  A supplied basis divides the brackets of its span
+    by its determinant in the echelon basis.
+    """
     if choices is None:
-        return {}, reps
+        return cfg.brackets
     dets = {s: _supplied_basis_det(s, rows) for s, rows in choices.subspace_bases.items()}
+    factors: dict[str, Fraction] = {}
     for name, rep in choices.point_reps.items():
         if name not in cfg.points:
             raise ValueError(f"representative supplied for unknown point {name!r}")
@@ -158,29 +166,36 @@ def _resolve_choices(cfg: Configuration, choices: BasisChoice | None) -> tuple[d
         stored = cfg.points[name].coords
         if all(x == 0 for x in rep) or linalg.rank([rep, stored]) != 1:
             raise ValueError(f"representative for {name!r} is not a nonzero multiple of its coordinates")
-        reps[name] = rep
-    return dets, reps
+        factors[name] = rep[next(c for c, x in enumerate(stored) if x)]
+    table = {}
+    for t, span in cfg.spans.items():
+        num, den = cfg.brackets[t]
+        for name in t.members:
+            if name in factors:
+                num *= factors[name].numerator
+                den *= factors[name].denominator
+        if span in dets:
+            num *= dets[span].denominator
+            den *= dets[span].numerator
+        table[t] = num, den
+    return table
 
 
 def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None) -> InvariantValue:
     """The invariant computed with caller-supplied bases and representatives.
 
-    Each distinct tuple of a color is bracketed once in its span's echelon
-    basis, divided by the supplied basis's determinant there if one was
-    given, and raised to the tuple's multiplicity in the color.
+    Each distinct tuple of a color contributes its stored bracket, scaled by
+    the choices, raised to the tuple's multiplicity in the color.
     """
     _require_h(cfg)
-    dets, reps = _resolve_choices(cfg, choices)
+    brackets = _chosen_brackets(cfg, choices)
     coords = []
     for color in cfg.colors:
         num = den = 1  # the product's numerator and denominator; one Fraction per color
         for t, k in Counter(color).items():
-            span = cfg.spans[t]
-            value = bracket(t, span, reps)
-            if span in dets:
-                value /= dets[span]
-            num *= value.numerator ** k
-            den *= value.denominator ** k
+            n, d = brackets[t]
+            num *= n**k
+            den *= d**k
         coords.append(Fraction(num, den))
     return InvariantValue(WeightedPoint(tuple(coords), cfg.weight))
 

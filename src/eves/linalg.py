@@ -4,8 +4,10 @@ Rational matrices are tuples of row tuples of ``fractions.Fraction``; there is
 no floating point and no tolerance anywhere.  The arithmetic itself runs on
 Python integers: a row's denominators are cleared once by their lcm
 (``clear_denominators``), and two fraction-free (Bareiss) loops do the rest.
-``integer_echelon`` gives a span's primitive integer echelon rows, its pivots
-and its rank, and ``integer_det`` the determinant.  ``rref``, ``rank`` and
+``integer_echelon_minor`` gives a span's primitive integer echelon rows, its
+pivots and its rank, and the determinant of independent rows at those pivots
+(``integer_echelon`` drops that determinant); ``integer_det`` gives the
+determinant of a square matrix.  ``rref``, ``rank`` and
 ``det`` are thin conversions over them that return rationals, and
 ``IntegerEchelon`` tests span membership in integers.  Only ``mat_vec``,
 ``mat_mul`` and ``scale_first_nonzero`` compute on ``Fraction`` entries.
@@ -58,11 +60,14 @@ def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("matrix rows have unequal lengths")
     return [clear_denominators(vec(r))[0] for r in rows]
 
 
-def integer_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Reduced row echelon form of an integer matrix, in primitive integer rows.
+def integer_echelon_minor(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Reduced row echelon form of an integer matrix, in primitive integer rows,
+    and the minor of independent rows at its pivot columns.
 
     Fraction-free Gauss-Jordan elimination (Bareiss): each step replaces every
     other row by (p * row - row[c] * pivot_row) / prev, where p is the new pivot
@@ -70,13 +75,16 @@ def integer_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tup
     up to sign, a minor of the input, which also bounds the entries' size.
     At the end each nonzero row, divided by its gcd and signed so that its
     pivot is positive, is the reduced echelon row scaled to primitive
-    integers: a canonical form of the row span.  Returns those rows and their
-    pivot columns; the rank is the number of pivots.
+    integers: a canonical form of the row span.  Returns those rows, their
+    pivot columns (the rank is their number) and the last pivot signed by
+    the row swaps.  When the rows are independent, that last value is the
+    determinant of the input rows, in their order, at the pivot columns.
+    The rows must have equal lengths.
     """
     m = [list(r) for r in rows]
     n_rows = len(m)
     pivots: list[int] = []
-    prev = 1
+    prev = sign = 1
     for c in range(len(m[0]) if m else 0):
         k = len(pivots)
         for pr in range(k, n_rows):
@@ -84,7 +92,9 @@ def integer_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tup
                 break
         else:
             continue
-        m[k], m[pr] = m[pr], m[k]
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
         top = m[k]
         p = top[c]
         for i in range(n_rows):
@@ -100,7 +110,13 @@ def integer_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tup
     for row, c in zip(m, pivots):
         g = gcd(*row) if row[c] > 0 else -gcd(*row)
         echelon.append([x // g for x in row])
-    return echelon, tuple(pivots)
+    return echelon, tuple(pivots), sign * prev
+
+
+def integer_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The primitive integer echelon rows and pivot columns of ``integer_echelon_minor``."""
+    echelon, pivots, _ = integer_echelon_minor(rows)
+    return echelon, pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int]:

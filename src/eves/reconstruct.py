@@ -11,17 +11,20 @@ restricts the configuration to each pair (S_i, S_j), expands the pair to a
 weight (1,1) configuration by repeating each tuple of the lists lcm/p_i and
 lcm/p_j times, and compares the expansion's classical invariant with the
 projection.  The pair's admissibility and all of its brackets are computed
-again; its points, tuples and spans are the parent's own objects, since the
-parent already checked and reduced them.
+again: each distinct tuple of the configuration is bracketed once through
+the public ``bracket``, on canonical representatives and with its membership
+check, and every pair expansion is evaluated on that table, not on the one
+stored when the configuration was built.  Its points, tuples and spans are
+the parent's own objects, since the parent already checked and reduced them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .configuration import Configuration, ConfigurationError
-from .invariant import eves_invariant
+from .invariant import bracket, canonical_point_reps, eves_invariant
 from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, wps_equivalent
 
 
@@ -54,7 +57,7 @@ class CompareReport:
 def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
     """The two-color configuration (S_i, S_j) under weight (p_i, p_j).
 
-    It shares the parent's tuples, points and spans; ell is the parent's.
+    It shares the parent's tuples, points, spans and brackets; ell is the parent's.
     """
     n = len(cfg.weight.parts) - 1
     if not (0 <= i < j <= n):
@@ -64,7 +67,9 @@ def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
     used = {name for color in colors for t in color for name in t.members}
     points = {name: cfg.points[name] for name in sorted(used)}
     spans = {t: cfg.spans[t] for color in colors for t in color}
-    return Configuration(Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, cfg.ell, colors, points, spans)
+    return Configuration(
+        Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, cfg.ell, colors, points, spans, cfg.brackets
+    )
 
 
 def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
@@ -72,7 +77,7 @@ def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
 
     The result is a weight (1,1) configuration with ell multiplied by the lcm;
     admissibility is inherited from the weighted input.  Each sorted list
-    stays sorted, and the points and spans are the input's own.
+    stays sorted, and the points, spans and brackets are the input's own.
     """
     if len(pair_cfg.weight.parts) != 2:
         raise ValueError("expansion takes a two-color configuration")
@@ -83,7 +88,7 @@ def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
     )
     return Configuration(
         Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim, pair_cfg.ell * lcm,
-        colors, pair_cfg.points, pair_cfg.spans,
+        colors, pair_cfg.points, pair_cfg.spans, pair_cfg.brackets,
     )
 
 
@@ -100,10 +105,19 @@ def reconstruction_vector(cfg: Configuration) -> ReconstructionVector:
 def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bool:
     """Whether every pair expansion's classical invariant equals the matching
     axis projection of the weighted invariant ``full`` of ``cfg`` (it must,
-    for admissible configurations)."""
+    for admissible configurations).
+
+    Each distinct tuple is bracketed once, through ``bracket``, and the pair
+    expansions are evaluated on those brackets."""
+    reps = canonical_point_reps(cfg)
+    brackets = {}
+    for t, span in cfg.spans.items():
+        value = bracket(t, span, reps)
+        brackets[t] = value.numerator, value.denominator
+    checked = replace(cfg, brackets=brackets)
     vector = projection_vector(full)
     for (i, j), entry in zip(vector.pairs, vector.entries):
-        expansion = eves_invariant(unit_weight_expansion(restrict_pair(cfg, i, j))).point
+        expansion = eves_invariant(unit_weight_expansion(restrict_pair(checked, i, j))).point
         if not wps_equivalent(expansion, entry):
             return False
     return True

@@ -124,6 +124,10 @@ class TestSpans:
         with pytest.raises(ConfigurationError, match="dependent"):
             span_of(("a", "b"), cfg)
 
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one row"):
+            Subspace(())
+
 
 class TestDegrees:
     def test_cross_ratio_degrees(self, fixtures_dir):

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,16 +25,20 @@ from eves import (
     eves_invariant,
     eves_invariant_with_choices,
     load_configuration,
-    restrict_pair,
     signed_length_bracket,
     triangle_ratio,
-    unit_weight_expansion,
     validate_h,
     wps_equivalent,
 )
-from eves import invariant, linalg, oracle
+from eves import invariant, linalg, oracle, reconstruct
 from eves.invariant import canonical_point_reps
-from conftest import random_h_configuration, random_invertible_matrix
+from conftest import (
+    CONFIG_FIXTURES,
+    FIXTURES,
+    random_h_configuration,
+    random_invertible_matrix,
+    random_simplex_configuration,
+)
 
 ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
 
@@ -96,6 +102,15 @@ class TestBracket:
         with pytest.raises(ValueError, match="linearly dependent"):
             bracket(RTuple(("a", "b")), dependent, reps)
 
+    def test_ragged_basis_rows_rejected(self):
+        reps = {"a": (F(1), F(0)), "b": (F(0), F(1))}
+        with pytest.raises(ValueError, match="unequal lengths"):
+            bracket(RTuple(("a", "b")), ((F(1), F(0)), (F(0), F(1), F(5))), reps)
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            bracket(RTuple(("a",)), (), {"a": (F(1),)})
+
 
 class TestEvesInvariant:
     def test_segment_pair_fixtures(self, fixtures_dir):
@@ -133,7 +148,7 @@ class TestEvesInvariant:
 
 @pytest.fixture
 def bracket_calls(monkeypatch):
-    """The tuples passed to the public bracket during evaluation, in call order."""
+    """The tuples passed to the public bracket, from either module that calls it, in call order."""
     calls = []
     original = invariant.bracket
 
@@ -142,6 +157,7 @@ def bracket_calls(monkeypatch):
         return original(t, basis, reps)
 
     monkeypatch.setattr(invariant, "bracket", counting_bracket)
+    monkeypatch.setattr(reconstruct, "bracket", counting_bracket)
     return calls
 
 
@@ -169,71 +185,104 @@ class TestSpanWork:
         eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases))
         assert len(calls) == len(bases)
 
-    def test_each_tuple_bracketed_once_through_bracket(self, fixtures_dir, monkeypatch):
-        # evaluation goes through the public bracket, so a wrapper around it sees every tuple
+    def test_evaluation_reads_stored_brackets(self, fixtures_dir, bracket_calls, monkeypatch):
+        # evaluation multiplies the brackets stored at build time: it runs no
+        # bracket and builds no canonical representative; a BasisChoice enters
+        # as scalars, after one rref check per supplied basis
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
-        calls = []
-        original = invariant.bracket
-
-        def counting_bracket(t, basis, reps):
-            calls.append(t)
-            return original(t, basis, reps)
-
-        monkeypatch.setattr(invariant, "bracket", counting_bracket)
-        eves_invariant(cfg)
-        assert calls == [t for color in cfg.colors for t in color]
-
-    def test_repeated_tuples_bracketed_once_per_color(self, bracket_calls):
-        # (t0,t1) twice in color 0 and once in color 1, (t2,t3) in both colors
-        pts = {f"t{k}": (F(1), F(2 * k + 1, k + 2)) for k in range(4)}
-        lists = [
-            [("t0", "t1"), ("t2", "t3"), ("t0", "t1")],
-            [("t0", "t1"), ("t2", "t3"), ("t1", "t0")],
-        ]
-        cfg = build_configuration(Weight((1, 1)), 2, 1, lists, pts)
-        assert validate_h(cfg).h_valid
-        reps = canonical_point_reps(cfg)
-        expected = []
-        for color in lists:
-            product = F(1)
-            for members in color:
-                t = RTuple(members)
-                product *= bracket(t, cfg.spans[t].basis, reps)
-            expected.append(product)
-        value = eves_invariant(cfg).point
-        assert value.coords == tuple(expected)
-        assert wps_equivalent(value, oracle.brute_invariant(cfg).point)
-        assert bracket_calls == [t for color in cfg.colors for t in dict.fromkeys(color)]
-        assert len(bracket_calls) == 5
-
-    def test_expansion_brackets_each_distinct_tuple_once_per_color(self, fixtures_dir, bracket_calls):
-        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        expansion = unit_weight_expansion(restrict_pair(cfg, 0, 2))
-        assert expansion.weight.parts == (1, 1)
-        eves_invariant(expansion)
-        distinct = [t for color in expansion.colors for t in dict.fromkeys(color)]
-        assert bracket_calls == distinct
-        assert len(bracket_calls) < sum(len(color) for color in expansion.colors)
-
-    def test_canonical_representative_computed_once_per_point(self, fixtures_dir, monkeypatch):
-        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        calls = []
+        scaled = []
         scale = linalg.scale_first_nonzero
 
         def counting_scale(v):
-            calls.append(v)
+            scaled.append(v)
             return scale(v)
 
         monkeypatch.setattr(linalg, "scale_first_nonzero", counting_scale)
-        first = eves_invariant(cfg).point
-        assert len(calls) == len(cfg.points)
-        assert check_reconstruction_identity(cfg, first)
-        assert eves_invariant(cfg).point == first
-        assert len(calls) == len(cfg.points)
+        eves_invariant(cfg)
+        assert bracket_calls == [] and scaled == []
+        rng = random.Random(9)
+        spans = cfg.subspaces()
+        bases = {s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans}
+        reps = {name: tuple(F(-3, 2) * x for x in pt.coords) for name, pt in cfg.points.items()}
+        eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases, point_reps=reps))
+        assert bracket_calls == []
+        assert len(scaled) == sum(s.dim for s in spans)  # the echelon rows of each basis's rref check
+
+    def test_identity_check_brackets_each_distinct_tuple_once(self, fixtures_dir, bracket_calls):
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        full = eves_invariant(cfg).point
+        assert check_reconstruction_identity(cfg, full)
+        assert bracket_calls == list(cfg.spans)
+        assert len(bracket_calls) < sum(len(color) for color in cfg.colors)
+
+    def test_identity_check_ignores_stored_brackets(self, fixtures_dir):
+        # a wrong stored bracket changes the invariant, but the identity check
+        # brackets every tuple again, so the pair expansions disagree with it
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        t = cfg.colors[0][0]  # twice in colors 0 and 2 and not in 1, against the weight (2, 2, 4)
+        num, den = cfg.brackets[t]
+        wrong = replace(cfg, brackets={**cfg.brackets, t: (2 * num, den)})
+        value = eves_invariant(wrong).point
+        assert not wps_equivalent(value, eves_invariant(cfg).point)
+        assert not check_reconstruction_identity(wrong, value)
+        assert check_reconstruction_identity(wrong, eves_invariant(cfg).point)
 
     def test_build_interns_spans(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
         assert len({id(s) for s in cfg.spans.values()}) == len(cfg.subspaces())
+
+
+def stored_bracket_corpus():
+    """The fixture configurations and seeded random ones, with segments and with simplices."""
+    corpus = [load_configuration(FIXTURES / name) for name in CONFIG_FIXTURES]
+    # (t0,t1) twice in color 0 and once in color 1, which also holds (t1,t0)
+    pts = {f"t{k}": (F(1), F(2 * k + 1, k + 2)) for k in range(4)}
+    lists = [[("t0", "t1"), ("t2", "t3"), ("t0", "t1")], [("t0", "t1"), ("t2", "t3"), ("t1", "t0")]]
+    corpus.append(build_configuration(Weight((1, 1)), 2, 1, lists, pts))
+    rng = random.Random(71)
+    corpus += [random_h_configuration(rng) for _ in range(30)]
+    corpus += [random_simplex_configuration(rng) for _ in range(20)]
+    return corpus
+
+
+def public_bracket_products(cfg, bases, reps):
+    """Each color's product of public brackets, with ``bases`` keyed by span."""
+    return tuple(
+        math.prod((bracket(t, bases.get(cfg.spans[t], cfg.spans[t]), reps) for t in color), start=F(1))
+        for color in cfg.colors
+    )
+
+
+class TestStoredBrackets:
+    """The brackets stored by build_configuration against the public bracket and the oracle."""
+
+    def test_stored_brackets_equal_public_brackets(self):
+        for cfg in stored_bracket_corpus():
+            reps = canonical_point_reps(cfg)
+            assert set(cfg.brackets) == set(cfg.spans)
+            for t, (num, den) in cfg.brackets.items():
+                assert F(num, den) == bracket(t, cfg.spans[t], reps)
+
+    def test_invariant_is_the_product_of_public_brackets(self):
+        for cfg in stored_bracket_corpus():
+            value = eves_invariant(cfg).point
+            assert value.coords == public_bracket_products(cfg, {}, canonical_point_reps(cfg))
+            assert wps_equivalent(value, oracle.brute_invariant(cfg).point)
+
+    def test_choices_enter_as_scalars(self):
+        rng = random.Random(73)
+        for cfg in stored_bracket_corpus():
+            bases = {}
+            for s in cfg.subspaces():  # another basis of s, each row scaled by a random rational
+                scales = [F(rng.choice([-2, 1, 3]), rng.randint(1, 4)) for _ in range(cfg.arity)]
+                mix = [[a * x for x in row] for a, row in zip(scales, random_invertible_matrix(rng, cfg.arity))]
+                bases[s] = linalg.mat_mul(mix, s.basis)
+            reps = {}
+            for name, pt in cfg.points.items():
+                scale = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                reps[name] = tuple(scale * x for x in pt.coords)
+            value = eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases, point_reps=reps))
+            assert value.point.coords == public_bracket_products(cfg, bases, reps)
 
 
 class TestChoiceIndependence:

@@ -92,6 +92,22 @@ def test_integer_echelon_is_primitive_and_scales_to_rref(rows):
         assert tuple(F(x, row[c]) for x in row) == ref
 
 
+@given(matrices())
+def test_signed_last_pivot_is_the_pivot_block_det(rows):
+    ints = [linalg.clear_denominators(row)[0] for row in rows]
+    echelon, pivots, minor = linalg.integer_echelon_minor(ints)
+    assert (echelon, pivots) == linalg.integer_echelon(ints)
+    if len(pivots) == len(rows):
+        assert minor == linalg.integer_det([[row[c] for c in pivots] for row in ints]) != 0
+
+
+def test_ragged_rows_refused():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        linalg.rank(((F(1), F(0), F(3)), (F(0), F(1))))
+    with pytest.raises(ValueError, match="unequal lengths"):
+        linalg.rref(((F(1), F(0)), (F(0), F(1), F(5))))
+
+
 @given(matrices(), st.lists(entries, min_size=5, max_size=5), st.booleans())
 def test_membership_agrees_with_minors(rows, values, combine):
     reduced, rk = linalg.rref(rows)
