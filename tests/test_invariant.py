@@ -185,28 +185,48 @@ class TestSpanWork:
         eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases))
         assert len(calls) == len(bases)
 
-    def test_evaluation_reads_stored_brackets(self, fixtures_dir, bracket_calls, monkeypatch):
-        # evaluation multiplies the brackets stored at build time: it runs no
-        # bracket and builds no canonical representative; a BasisChoice enters
-        # as scalars, after one rref check per supplied basis
+    def test_each_tuple_bracketed_once_through_bracket(self, fixtures_dir, bracket_calls):
+        # evaluation multiplies the brackets stored at build time and runs no
+        # bracket, with or without a BasisChoice; the identity check brackets
+        # each distinct tuple once through the public bracket
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
-        scaled = []
-        scale = linalg.scale_first_nonzero
-
-        def counting_scale(v):
-            scaled.append(v)
-            return scale(v)
-
-        monkeypatch.setattr(linalg, "scale_first_nonzero", counting_scale)
-        eves_invariant(cfg)
-        assert bracket_calls == [] and scaled == []
+        full = eves_invariant(cfg).point
         rng = random.Random(9)
         spans = cfg.subspaces()
         bases = {s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans}
         reps = {name: tuple(F(-3, 2) * x for x in pt.coords) for name, pt in cfg.points.items()}
         eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases, point_reps=reps))
         assert bracket_calls == []
-        assert len(scaled) == sum(s.dim for s in spans)  # the echelon rows of each basis's rref check
+        assert check_reconstruction_identity(cfg, full)
+        assert bracket_calls == list(cfg.spans)
+
+    def test_canonical_representative_computed_once_per_point(self, fixtures_dir, monkeypatch):
+        # evaluation builds no canonical representative, and a BasisChoice
+        # scales only the echelon rows of each supplied basis's rref check;
+        # the identity check computes each point's once, and it is kept
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        calls = []
+        scale = linalg.scale_first_nonzero
+
+        def counting_scale(v):
+            calls.append(v)
+            return scale(v)
+
+        monkeypatch.setattr(linalg, "scale_first_nonzero", counting_scale)
+        first = eves_invariant(cfg).point
+        assert calls == []
+        rng = random.Random(9)
+        spans = cfg.subspaces()
+        bases = {s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans}
+        reps = {name: tuple(F(-3, 2) * x for x in pt.coords) for name, pt in cfg.points.items()}
+        eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases, point_reps=reps))
+        assert len(calls) == sum(s.dim for s in spans)
+        calls.clear()
+        assert check_reconstruction_identity(cfg, first)
+        assert len(calls) == len(cfg.points)
+        assert check_reconstruction_identity(cfg, first)
+        assert eves_invariant(cfg).point == first
+        assert len(calls) == len(cfg.points)
 
     def test_identity_check_brackets_each_distinct_tuple_once(self, fixtures_dir, bracket_calls):
         cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
