@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -38,7 +39,7 @@ class ProjPoint:
         coords = linalg.vec(self.coords)
         if not self.name:
             raise ConfigurationError("point name must be non-empty")
-        if all(c == 0 for c in coords):
+        if not any(coords):
             raise ConfigurationError(f"point {self.name!r}: zero vector is not a projective point")
         object.__setattr__(self, "coords", coords)
 
@@ -53,7 +54,15 @@ class RTuple:
     members: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(str(m) for m in self.members))
+        members = self.members
+        if type(members) is not tuple or not all(type(m) is str for m in members):
+            members = tuple(str(m) for m in members)
+            object.__setattr__(self, "members", members)
+        # tuples key the spans and brackets dicts and the per-color counters; hashed once here
+        object.__setattr__(self, "_hash", hash((members,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -158,6 +167,13 @@ def build_configuration(
     canonical representative is the point's cleared integer row u divided by
     its lead, the first nonzero entry of u, so the canonical bracket is the
     rows' minor at the span's pivots over the product of the members' leads.
+
+    Each elimination proves its members lie in the span it finds, and that
+    is recorded per point.  A later tuple whose members all lie in one
+    recorded span S needs no elimination: its rows' minor at S's pivot
+    columns is the one an elimination would return, and it is zero exactly
+    when the rows are dependent.  Only recorded facts are looked up, so a
+    tuple sharing no span with earlier ones costs one elimination, as before.
     """
     if arity < 1:
         raise ConfigurationError("arity must be >= 1")
@@ -192,6 +208,7 @@ def build_configuration(
     spans: dict[RTuple, Subspace] = {}
     brackets: dict[RTuple, tuple[int, int]] = {}
     interned: dict[tuple, Subspace] = {}
+    proven: dict[str, set[Subspace]] = {name: set() for name in table}  # spans each point was shown to lie in
     for c, color in enumerate(colors):
         tuples = [_as_rtuple(t) for t in color]
         p_c = weight.parts[c]
@@ -217,17 +234,26 @@ def build_configuration(
                 if name not in table:
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
-                found = _span([cleared[name] for name in t.members], interned)
-                if found is None:
+                rows = [cleared[name] for name in t.members]
+                shared = set.intersection(*[proven[name] for name in t.members])
+                if shared:
+                    span = next(iter(shared))
+                    minor = linalg.integer_det([[row[p] for p in span.echelon.pivots] for row in rows])
+                else:
+                    span, minor = _span(rows, interned) or (None, 0)
+                if not minor:
                     raise ConfigurationError(
                         f"colors[{c}][{k}]: dependent r-tuple {t.members}"
                     )
-                spans[t], minor = found
+                if not shared:
+                    for name in t.members:
+                        proven[name].add(span)
+                spans[t] = span
                 lead_product = 1
                 for name in t.members:
                     lead_product *= leads[name]
                 brackets[t] = minor, lead_product
-        stored.append(tuple(sorted(tuples)))
+        stored.append(tuple(sorted(tuples, key=attrgetter("members"))))
 
     assert ell is not None
     return Configuration(weight, arity, dim, ell, tuple(stored), table, spans, brackets)

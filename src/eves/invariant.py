@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -218,27 +219,38 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
 
     Source points with the same projective image are merged under one name and
     one representative vector; the invariant class is unchanged.
+
+    The map runs on integers.  Row i of the matrix is a_i / e_i and a point
+    is u / D, with a_i, u integer rows, so image coordinate i is the exact
+    rational (a_i . u) / (e_i D).  The integer row w = (a_i . u)_i differs
+    from the image by the same diagonal scaling for every point, so the
+    ranks of images and which points share a projective image are read off w.
     """
     rows = morphism.matrix
     if len(rows[0]) != cfg.dim + 1:
         raise MorphismError(
             f"matrix has {len(rows[0])} columns, expected {cfg.dim + 1}"
         )
+    cleared = [linalg.clear_denominators(row) for row in rows]
+
+    def integer_image(v: Vector) -> tuple[list[int], int]:
+        u, d = linalg.clear_denominators(v)
+        return [sum(map(mul, a, u)) for a, _ in cleared], d
+
     for subspace in cfg.subspaces():
-        images = [linalg.mat_vec(rows, b) for b in subspace.basis]
-        if linalg.rank(images) != cfg.arity:
+        images = [integer_image(b)[0] for b in subspace.basis]
+        if len(linalg.integer_echelon(images)[1]) != cfg.arity:
             raise MorphismError(f"matrix is not injective on {subspace}")
 
     image_vectors: dict[str, Vector] = {}
+    groups: dict[tuple[int, ...], list[str]] = {}
     for name in sorted(cfg.points):
-        img = linalg.mat_vec(rows, cfg.points[name].coords)
-        if all(x == 0 for x in img):
+        w, d = integer_image(cfg.points[name].coords)
+        if not any(w):
             raise MorphismError(f"point {name!r} maps to the zero vector")
-        image_vectors[name] = img
-
-    groups: dict[Vector, list[str]] = {}
-    for name in sorted(image_vectors):
-        key = linalg.scale_first_nonzero(image_vectors[name])
+        image_vectors[name] = tuple(Fraction(x, e * d) for x, (_, e) in zip(w, cleared))
+        # the echelon row of w alone, primitive with a positive lead, keys its projective point
+        key = tuple(linalg.integer_echelon([w])[0][0])
         groups.setdefault(key, []).append(name)
 
     rename: dict[str, str] = {}

@@ -9,8 +9,8 @@ pivots and its rank, and the determinant of independent rows at those pivots
 (``integer_echelon`` drops that determinant); ``integer_det`` gives the
 determinant of a square matrix.  ``rref``, ``rank`` and
 ``det`` are thin conversions over them that return rationals, and
-``IntegerEchelon`` tests span membership in integers.  Only ``mat_vec``,
-``mat_mul`` and ``scale_first_nonzero`` compute on ``Fraction`` entries.
+``IntegerEchelon`` tests span membership in integers.  Only ``mat_vec`` and
+``mat_mul`` compute on ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ Matrix = tuple[Vector, ...]
 
 
 def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    """The values as a tuple of ``Fraction``; entries that already are one are kept."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -201,8 +202,13 @@ class IntegerEchelon:
 
 
 def scale_first_nonzero(v: Sequence[Fraction]) -> Vector:
-    """Canonical projective representative: divide by the first nonzero entry."""
-    pivot = next((x for x in v if x != 0), None)
+    """Canonical projective representative: divide by the first nonzero entry.
+
+    The entries must be ``int`` or ``Fraction``.  Each quotient is formed from
+    integers, one ``Fraction`` per entry.
+    """
+    pivot = next(filter(None, v), None)
     if pivot is None:
         raise ValueError("zero vector has no projective representative")
-    return tuple(Fraction(x) / pivot for x in v)
+    n, d = pivot.numerator, pivot.denominator
+    return tuple(Fraction(x.numerator * d, x.denominator * n) for x in v)

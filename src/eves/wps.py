@@ -228,17 +228,21 @@ def nonreconstructible_witness(p: Weight) -> tuple[WeightedPoint, WeightedPoint]
 # interpreter's own limit on reading integers (4300 digits by default).
 MAX_RATIONAL_CHARS = 4096
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")  # the exponents Fraction accepts
+_PLAIN_INTEGER = re.compile(r"-?[0-9]+")  # ASCII digits only: int() also reads other scripts' digits
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse '3', '-3', '3/4', '-3/4' into an exact rational.
 
     Text longer than ``MAX_RATIONAL_CHARS``, or with an exponent larger than
-    that, is rejected before any arithmetic.
+    that, is rejected before any arithmetic.  A plain integer is read by
+    ``int``; ``Fraction`` parses every other form.
     """
     body = str(text).strip()
     if len(body) > MAX_RATIONAL_CHARS:
         raise ValueError(f"rational of {len(body)} characters exceeds the limit of {MAX_RATIONAL_CHARS}")
+    if _PLAIN_INTEGER.fullmatch(body):
+        return Fraction(int(body))
     exponent = _EXPONENT.search(body)
     if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_CHARS:
         raise ValueError(f"exponent exceeds the limit of {MAX_RATIONAL_CHARS}")

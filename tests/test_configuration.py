@@ -1,5 +1,9 @@
+import itertools
 import json
+import math
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,14 +23,76 @@ from eves import (
     subspace_degree,
     validate_h,
 )
-from eves import linalg
-from eves.invariant import LinearMorphism, apply_morphism
+from eves import configuration, linalg
+from eves.invariant import LinearMorphism, apply_morphism, eves_invariant
 from eves.reconstruct import restrict_pair
 from conftest import random_h_configuration, random_invertible_matrix
 
 
 def line_points(*ts):
     return {f"t{k}": (F(1), F(t)) for k, t in enumerate(ts)}
+
+
+def lines_configuration(rng, n_lines, per_line):
+    """An admissible weight-(1,1) configuration of segments on lines in P^3.
+
+    Each line lies in a random coordinate hyperplane, so the lines' pivot
+    columns differ, and each point is a random rational multiple of u + t v.
+    Each color holds two random matchings of every line's points.
+    """
+    points, colors = {}, [[], []]
+    for line in range(n_lines):
+        zero = rng.randrange(4)
+        while True:
+            u, v = ([0 if c == zero else rng.randint(-5, 5) for c in range(4)] for _ in range(2))
+            if linalg.rank([u, v]) == 2:
+                break
+        names = [f"l{line}p{k}" for k in range(per_line)]
+        for name, t in zip(names, rng.sample(range(-20, 21), per_line)):
+            scale = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            points[name] = tuple(scale * (a + F(t, 3) * b) for a, b in zip(u, v))
+        for color in colors:
+            for _ in range(2):
+                perm = rng.sample(names, per_line)
+                color += [(perm[e], perm[e + 1]) for e in range(0, per_line, 2)]
+    return build_configuration(Weight((1, 1)), 2, 3, colors, points)
+
+
+def general_position_configuration(rng, n_points):
+    """Every pair of n points in general position in P^3, so no two tuples share a span.
+
+    Weight (1, 2): color 0 holds each pair once and color 1 twice.
+    """
+    while True:
+        points = {f"g{k}": tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)) for k in range(n_points)}
+        if all(linalg.rank([points[n] for n in triple]) == 3 for triple in itertools.combinations(points, 3)):
+            break
+    pairs = list(itertools.combinations(points, 2))
+    rng.shuffle(pairs)
+    return build_configuration(Weight((1, 2)), 2, 3, [pairs, pairs + pairs[::-1]], points)
+
+
+def eliminated_one_by_one(cfg):
+    """Each distinct tuple's span and stored bracket, from an elimination of that tuple alone."""
+    spans, brackets = {}, {}
+    for t in cfg.spans:
+        rows = [linalg.clear_denominators(cfg.points[name].coords)[0] for name in t.members]
+        spans[t], minor = configuration._span(rows, {})
+        brackets[t] = minor, math.prod(next(filter(None, row)) for row in rows)
+    return spans, brackets
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record its calls; returns the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestBuild:
@@ -237,6 +303,51 @@ class TestValidateH:
             for i in range(n):
                 for j in range(i + 1, n):
                     assert validate_h(restrict_pair(cfg, i, j)).h_valid
+
+
+class TestProvenSpans:
+    """A tuple whose members an earlier elimination placed in one span is bracketed by a minor."""
+
+    def test_fewer_eliminations_than_distinct_tuples(self, fixtures_dir, monkeypatch):
+        calls = count_calls(monkeypatch, linalg, "integer_echelon_minor")
+        cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
+        assert len(calls) < len(cfg.spans)
+        calls.clear()
+        cfg = lines_configuration(random.Random(3), 6, 8)
+        assert len(calls) < len(cfg.spans)
+
+    def test_spans_and_brackets_equal_one_elimination_per_tuple(self):
+        rng = random.Random(4)
+        for cfg in [lines_configuration(rng, 5, 6) for _ in range(4)] + [random_h_configuration(rng) for _ in range(20)]:
+            spans, brackets = eliminated_one_by_one(cfg)
+            assert {t: s.basis for t, s in cfg.spans.items()} == {t: s.basis for t, s in spans.items()}
+            assert cfg.brackets == brackets
+
+    @pytest.mark.parametrize("dependent", [("b", "b"), ("a", "a2"), ("a2", "a")])
+    def test_dependent_tuple_in_recorded_span(self, dependent, monkeypatch):
+        # a, a2 = 2a, b and c lie on one line; the first two tuples record all
+        # four points in it, so the dependent third tuple is decided by its minor
+        pts = {"a": (F(1), F(0), F(2), F(0)), "a2": (F(2), F(0), F(4), F(0)),
+               "b": (F(0), F(1, 2), F(0), F(1)), "c": (F(1), F(1, 2), F(2), F(1))}
+        colors = [[("a", "b"), ("a2", "c"), dependent], [("a", "b"), ("a2", "c"), ("b", "c")]]
+        spans = count_calls(monkeypatch, configuration, "_span")
+        message = f"colors[0][2]: dependent r-tuple {dependent!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            build_configuration(Weight((1, 1)), 2, 3, colors, pts)
+        assert len(spans) == 2
+
+    def test_tuples_sharing_no_span_are_each_eliminated(self, monkeypatch):
+        rng = random.Random(6)
+        for n_points in (5, 9):
+            spans = count_calls(monkeypatch, configuration, "_span")
+            cfg = general_position_configuration(rng, n_points)
+            assert len(spans) == len(cfg.spans) == len(cfg.subspaces()) == n_points * (n_points - 1) // 2
+            monkeypatch.undo()
+            expected_spans, expected_brackets = eliminated_one_by_one(cfg)
+            assert {t: s.basis for t, s in cfg.spans.items()} == {t: s.basis for t, s in expected_spans.items()}
+            assert cfg.brackets == expected_brackets
+            expected = replace(cfg, spans=expected_spans, brackets=expected_brackets)
+            assert eves_invariant(cfg).point == eves_invariant(expected).point
 
 
 class TestFileFormat:

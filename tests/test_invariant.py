@@ -438,6 +438,42 @@ class TestMorphisms:
         assert validate_h(image).h_valid
         assert wps_equivalent(eves_invariant(image).point, eves_invariant(cfg).point)
 
+    @staticmethod
+    def assert_images_exact(cfg, m, image):
+        # every image point is the matrix times its first source point, entry for entry
+        groups = {}
+        for name in sorted(cfg.points):
+            img = linalg.mat_vec(m.matrix, cfg.points[name].coords)
+            groups.setdefault(linalg.scale_first_nonzero(img), []).append(img)
+        assert sorted(pt.coords for pt in image.points.values()) == sorted(images[0] for images in groups.values())
+
+    def test_images_exact_under_rational_matrices(self):
+        # each row has its own denominator, and the points have rational coordinates
+        rng = random.Random(23)
+        for _ in range(15):
+            cfg = random_h_configuration(rng)
+            n = cfg.dim + 1
+            while True:
+                rows = tuple(
+                    tuple(F(rng.randint(-7, 7), den * rng.randint(1, 2)) for _ in range(n))
+                    for den in rng.sample([2, 3, 5, 7, 11], n)
+                )
+                if linalg.det(rows) != 0:
+                    break
+            m = LinearMorphism(rows)
+            self.assert_images_exact(cfg, m, apply_morphism(cfg, m))
+
+    def test_merged_points_keep_the_first_image_exactly(self):
+        # the kernel of this rank-2 matrix is spanned by (1, 1, 1), and a2 - a lies in it
+        m = LinearMorphism(((F(1, 2), F(-3, 2), F(1)), (F(2, 3), F(1, 3), F(-1)), (F(1, 5), F(0), F(-1, 5))))
+        pts = {"a": (F(1), F(1, 2), F(0)), "a2": (F(7, 4), F(5, 4), F(3, 4)),
+               "b": (F(0), F(1, 3), F(1)), "c": (F(2, 7), F(-1), F(1, 9))}
+        cfg = build_configuration(Weight((1, 1)), 2, 2, [[("a", "b"), ("a2", "c")], [("a", "c"), ("a2", "b")]], pts)
+        image = apply_morphism(cfg, m)
+        assert sorted(image.points) == ["a+a2", "b", "c"]
+        assert image.points["a+a2"].coords == linalg.mat_vec(m.matrix, pts["a"])
+        self.assert_images_exact(cfg, m, image)
+
     def test_rank_deficiency_names_subspace(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
         squash = LinearMorphism(((F(1), F(0)), (F(0), F(0))))

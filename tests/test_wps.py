@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from eves import wps
 from eves.wps import (
     AxisProjectionSpec,
     FieldKind,
@@ -67,6 +70,51 @@ class TestTypes:
         assert parse_weight("2,2,4").parts == (2, 2, 4)
         with pytest.raises(ValueError):
             parse_weight("2,b")
+
+
+def parse_outcome(text):
+    """The value ``parse_rational`` returns for the text, or the message it raises."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def parse_outcome_through_fraction(text):
+    """``parse_outcome`` with every text sent through ``Fraction``, as plain integers were before their fast path."""
+    with mock.patch.object(wps, "_PLAIN_INTEGER", re.compile(r"(?!)")):
+        return parse_outcome(text)
+
+
+PARSE_CORPUS = [
+    "0", "7", "007", "-0", "-007", "+5", "--5", "5/-7", "-5/7", "3/4", "3/0", "1_000", "1__0",
+    " 7 ", "\t-12\n", "7 7", "\u0663", "-\u0663", "1e3", "1.5", "", " ", "-", "/", "5/",
+    "9" * 4096, "-" + "9" * 4095, "9" * 4097, "12a", "0x10", "\uff17", 5, -12, 0,
+]
+
+
+class TestParseRational:
+    """Plain ASCII integers take a fast path; every other text goes through ``Fraction``."""
+
+    @pytest.mark.parametrize("text", PARSE_CORPUS, ids=range(len(PARSE_CORPUS)))
+    def test_fast_path_parity_on_corpus(self, text):
+        self.check(text)
+
+    @given(st.one_of(
+        st.from_regex(r"[ ]?[-+]{0,2}[0-9_]{0,8}(/[-+]?[0-9]{0,4})?[ ]?", fullmatch=True),
+        st.text(alphabet="0123456789-+/_ .eE\u0663", max_size=10),
+        st.integers().map(str),
+    ))
+    def test_fast_path_parity_on_generated_text(self, text):
+        self.check(text)
+
+    @staticmethod
+    def check(text):
+        outcome = parse_outcome(text)
+        assert outcome == parse_outcome_through_fraction(text)
+        if not isinstance(outcome, str):
+            assert type(outcome) is F
+            assert outcome == F(str(text).strip())
 
 
 class TestEquivalence:
