@@ -309,12 +309,13 @@ class TestProvenSpans:
     """A tuple whose members an earlier elimination placed in one span is bracketed by a minor."""
 
     def test_fewer_eliminations_than_distinct_tuples(self, fixtures_dir, monkeypatch):
+        lines = lines_configuration(random.Random(3), 6, 8)
         calls = count_calls(monkeypatch, linalg, "integer_echelon_minor")
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
         assert len(calls) < len(cfg.spans)
         calls.clear()
-        cfg = lines_configuration(random.Random(3), 6, 8)
-        assert len(calls) < len(cfg.spans)
+        build_configuration(lines.weight, lines.arity, lines.dim, lines.colors, lines.points)
+        assert len(calls) < len(lines.spans)
 
     def test_spans_and_brackets_equal_one_elimination_per_tuple(self):
         rng = random.Random(4)
