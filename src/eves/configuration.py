@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from math import lcm
+from operator import attrgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -67,7 +68,11 @@ class RTuple:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Canonical reduced-echelon basis of an r-dimensional linear subspace."""
+    """Canonical reduced-echelon basis R of an r-dimensional linear subspace.
+
+    R is the identity at its pivot columns, so a vector's coordinates in R are
+    its entries there.  R's integer form is built on first use.
+    """
 
     basis: Matrix
 
@@ -90,12 +95,36 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def echelon(self) -> linalg.IntegerEchelon:
-        """The basis in integers, for membership and brackets; built on first use."""
-        return linalg.IntegerEchelon(self.basis, len(self.basis[0]))
+    def pivots(self) -> tuple[int, ...]:
+        """The column of each basis row's leading 1."""
+        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis)
+
+    @cached_property
+    def scaled(self) -> tuple[int, list[list[int]]]:
+        """The lcm D of the basis's denominators and the integer rows D·R."""
+        d = lcm(*[x.denominator for row in self.basis for x in row])
+        return d, [[x.numerator * (d // x.denominator) for x in row] for row in self.basis]
+
+    @cached_property
+    def _free_columns(self) -> tuple[tuple[int, list[int]], ...]:
+        """Each free (non-pivot) column c with the column of D·R at c."""
+        rows = self.scaled[1]
+        return tuple((c, [row[c] for row in rows]) for c in range(len(rows[0])) if c not in self.pivots)
+
+    def contains_integer(self, u: Sequence[int]) -> bool:
+        """Whether the integer row u lies in the span: whether D·u[c] equals
+        the sum of u[pivot_k]·(D·R)[k][c] at every free column c."""
+        if len(u) != len(self.basis[0]):
+            raise ValueError("basis/vector shape mismatch")
+        d, x = self.scaled[0], [u[c] for c in self.pivots]
+        return all(d * u[c] == sum(map(mul, x, column)) for c, column in self._free_columns)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return self.echelon.contains(linalg.clear_denominators(linalg.vec(v))[0])
+        return self.contains_integer(linalg.clear_denominators(linalg.vec(v))[0])
+
+    def minor(self, rows: Sequence[Sequence[int]]) -> int:
+        """The determinant in R of integer rows of the span: their minor at R's pivot columns."""
+        return linalg.integer_det([[row[c] for c in self.pivots] for row in rows])
 
     def __str__(self) -> str:
         rows = "; ".join("(" + ", ".join(format_rational(x) for x in r) + ")" for r in self.basis)
@@ -107,7 +136,6 @@ class Configuration:
     weight: Weight
     arity: int
     dim: int
-    ell: int
     colors: tuple[tuple[RTuple, ...], ...]
     points: dict[str, ProjPoint]
     spans: dict[RTuple, Subspace] = field(compare=False, repr=False, default_factory=dict)
@@ -115,13 +143,26 @@ class Configuration:
     # echelon basis, as an unreduced (numerator, denominator) pair of ints
     brackets: dict[RTuple, tuple[int, int]] = field(compare=False, repr=False, default_factory=dict)
 
+    @property
+    def ell(self) -> int:
+        """The common quotient |S_c| / p_c of the color list lengths by the weight parts."""
+        return len(self.colors[0]) // self.weight.parts[0]
+
     def all_tuples(self) -> Iterable[RTuple]:
         for color in self.colors:
             yield from color
 
     def subspaces(self) -> tuple[Subspace, ...]:
-        """Distinct spans, in deterministic basis order."""
-        return tuple(sorted(set(self.spans.values()), key=lambda s: s.basis))
+        """Distinct spans, in the order of their bases R, compared in integers:
+        each span's rows D·R times L/D are L·R, with L the lcm of all spans' D."""
+        spans = set(self.spans.values())
+        common = lcm(*[s.scaled[0] for s in spans])
+
+        def key(s: Subspace) -> list[list[int]]:
+            d, rows = s.scaled
+            return rows if d == common else [[x * (common // d) for x in row] for row in rows]
+
+        return tuple(sorted(spans, key=key))
 
 
 def _as_rtuple(t) -> RTuple:
@@ -238,7 +279,7 @@ def build_configuration(
                 shared = set.intersection(*[proven[name] for name in t.members])
                 if shared:
                     span = next(iter(shared))
-                    minor = linalg.integer_det([[row[p] for p in span.echelon.pivots] for row in rows])
+                    minor = span.minor(rows)
                 else:
                     span, minor = _span(rows, interned) or (None, 0)
                 if not minor:
@@ -255,8 +296,7 @@ def build_configuration(
                 brackets[t] = minor, lead_product
         stored.append(tuple(sorted(tuples, key=attrgetter("members"))))
 
-    assert ell is not None
-    return Configuration(weight, arity, dim, ell, tuple(stored), table, spans, brackets)
+    return Configuration(weight, arity, dim, tuple(stored), table, spans, brackets)
 
 
 def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:

@@ -6,11 +6,14 @@ color by color yields a weighted projective point that is independent of every
 choice made (representatives, bases, list order) and invariant under morphisms
 whenever the configuration passes the admissibility check.
 
-Brackets are computed in each span's reduced echelon basis, the
-``Subspace`` itself.  Any other basis of a span enters only as its
-determinant in that echelon basis, which divides the bracket.  Evaluation
-reads each tuple's canonical bracket off the configuration, where
-``build_configuration`` stored it, and supplied choices enter as scalars.
+Brackets are computed in each span's reduced echelon basis R, the
+``Subspace`` itself.  R is the identity at its pivot columns, so the
+determinant in R of integer rows of the span is their minor there,
+``Subspace.minor``; every bracket and basis determinant here is such a
+minor.  Any other basis of a span enters only as its determinant in R,
+which divides the bracket.  Evaluation reads each tuple's canonical bracket
+off the configuration, where ``build_configuration`` stored it, and supplied
+choices enter as scalars.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -92,13 +96,13 @@ def bracket(
 ) -> Fraction:
     """Determinant of the tuple members' coordinates in the given span basis.
 
-    A ``Subspace`` is its own reduced echelon basis R, kept in integers
-    (``Subspace.echelon``): a member's coordinates in R are its entries at R's
-    pivot columns, and the other columns check that R spans it.  Each
-    representative is cleared of denominators, checked and read in integers;
-    the one ``Fraction`` is the returned quotient.  Other basis rows B are
-    reduced to their span first, and the bracket in B is the one in R divided
-    by B's determinant in R; no rows, or rows of unequal length, are refused.
+    A ``Subspace`` is its own reduced echelon basis R, kept in integers: each
+    representative is cleared of denominators, checked against the span with
+    ``Subspace.contains_integer``, and the cleared rows' determinant in R is
+    ``Subspace.minor``; the one ``Fraction`` is the returned quotient.  Other
+    basis rows B are reduced to their span first, and the bracket in B is the
+    one in R divided by B's determinant in R; no rows, or rows of unequal
+    length, are refused.
     """
     if isinstance(basis, Subspace):
         span, block = basis, None
@@ -109,25 +113,23 @@ def bracket(
             raise ValueError("basis rows are linearly dependent")
         span = Subspace(reduced)
         block = _basis_det(span, rows)
-    echelon = span.echelon
-    minor, scale = [], 1
+    members, scale = [], 1
     for name in t.members:
         u, d = linalg.clear_denominators(reps[name])
-        if not echelon.contains(u):
+        if not span.contains_integer(u):
             raise ValueError(f"basis does not span the representative of point {name!r}")
-        minor.append([u[c] for c in echelon.pivots])
+        members.append(u)
         scale *= d
-    value = Fraction(linalg.integer_det(minor), scale)
+    value = Fraction(span.minor(members), scale)
     return value if block is None else value / block
 
 
 def _basis_det(span: Subspace, rows: Matrix) -> Fraction:
-    """Determinant of basis rows of ``span`` in its echelon basis R.
-
-    R is the identity at its pivot columns, so the rows' coordinates in R are
-    their entries there.
-    """
-    return linalg.det([[row[c] for c in span.echelon.pivots] for row in rows])
+    """Determinant of basis rows of ``span`` in its echelon basis R: each row
+    is cleared of denominators, and ``Subspace.minor`` of the cleared rows is
+    divided by the product of those denominators."""
+    cleared = [linalg.clear_denominators(row) for row in rows]
+    return Fraction(span.minor([u for u, _ in cleared]), prod(d for _, d in cleared))
 
 
 def _supplied_basis_det(span: Subspace, rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -233,24 +235,25 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
         )
     cleared = [linalg.clear_denominators(row) for row in rows]
 
-    def integer_image(v: Vector) -> tuple[list[int], int]:
-        u, d = linalg.clear_denominators(v)
-        return [sum(map(mul, a, u)) for a, _ in cleared], d
+    def integer_image(u: Sequence[int]) -> list[int]:
+        return [sum(map(mul, a, u)) for a, _ in cleared]
 
     for subspace in cfg.subspaces():
-        images = [integer_image(b)[0] for b in subspace.basis]
-        if len(linalg.integer_echelon(images)[1]) != cfg.arity:
+        # the images of the rows D·R: scaling a row by D leaves the rank as it is
+        images = [integer_image(u) for u in subspace.scaled[1]]
+        if len(linalg.integer_echelon_minor(images)[1]) != cfg.arity:
             raise MorphismError(f"matrix is not injective on {subspace}")
 
     image_vectors: dict[str, Vector] = {}
     groups: dict[tuple[int, ...], list[str]] = {}
     for name in sorted(cfg.points):
-        w, d = integer_image(cfg.points[name].coords)
+        u, d = linalg.clear_denominators(cfg.points[name].coords)
+        w = integer_image(u)
         if not any(w):
             raise MorphismError(f"point {name!r} maps to the zero vector")
         image_vectors[name] = tuple(Fraction(x, e * d) for x, (_, e) in zip(w, cleared))
         # the echelon row of w alone, primitive with a positive lead, keys its projective point
-        key = tuple(linalg.integer_echelon([w])[0][0])
+        key = tuple(linalg.integer_echelon_minor([w])[0][0])
         groups.setdefault(key, []).append(name)
 
     rename: dict[str, str] = {}

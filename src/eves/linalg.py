@@ -5,19 +5,18 @@ no floating point and no tolerance anywhere.  The arithmetic itself runs on
 Python integers: a row's denominators are cleared once by their lcm
 (``clear_denominators``), and two fraction-free (Bareiss) loops do the rest.
 ``integer_echelon_minor`` gives a span's primitive integer echelon rows, its
-pivots and its rank, and the determinant of independent rows at those pivots
-(``integer_echelon`` drops that determinant); ``integer_det`` gives the
-determinant of a square matrix.  ``rref``, ``rank`` and
-``det`` are thin conversions over them that return rationals, and
-``IntegerEchelon`` tests span membership in integers.  Only ``mat_vec`` and
-``mat_mul`` compute on ``Fraction`` entries.
+pivots and its rank, and the determinant of independent rows at those pivots;
+``integer_det`` gives the determinant of a square matrix.  ``rref``, ``rank``
+and ``det`` are thin conversions over them that return rationals.  A span's
+own integer form (membership, and determinants in its echelon basis) lives on
+``configuration.Subspace``.  Only ``mat_vec`` and ``mat_mul`` compute on
+``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -114,20 +113,14 @@ def integer_echelon_minor(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]
     return echelon, tuple(pivots), sign * prev
 
 
-def integer_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
-    """The primitive integer echelon rows and pivot columns of ``integer_echelon_minor``."""
-    echelon, pivots, _ = integer_echelon_minor(rows)
-    return echelon, pivots
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int]:
     """Reduced row echelon form (zero rows dropped) and the rank."""
-    echelon, pivots = integer_echelon(_cleared(rows))
+    echelon, pivots, _ = integer_echelon_minor(_cleared(rows))
     return tuple(scale_first_nonzero(row) for row in echelon), len(pivots)
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(integer_echelon(_cleared(rows))[1])
+    return len(integer_echelon_minor(_cleared(rows))[1])
 
 
 def integer_det(m: list[list[int]]) -> int:
@@ -161,44 +154,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant: denominators are cleared row by row, then ``integer_det``."""
     cleared = [clear_denominators(vec(row)) for row in rows]
     return Fraction(integer_det([ints for ints, _ in cleared]), prod(d for _, d in cleared))
-
-
-def pivot_columns(reduced: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
-    """The column of each row's leading entry in a reduced row echelon form."""
-    return tuple(next(c for c, val in enumerate(row) if val != 0) for row in reduced)
-
-
-class IntegerEchelon:
-    """A reduced row echelon form R of full rank, with ``width`` columns, in integers.
-
-    ``denominator`` is the lcm D of R's denominators.  A vector's coordinates
-    in R are its entries at the pivot columns, because R is the identity
-    there; so an integer vector u lies in the span exactly when D·u[c] equals
-    the sum of u[pivot_k]·(D·R)[k][c] at every free (non-pivot) column c.
-    ``free`` pairs each free column c with the column (D·R)[k][c] over k.
-    """
-
-    __slots__ = ("width", "denominator", "pivots", "free")
-
-    def __init__(self, reduced: Sequence[Sequence[Fraction]], width: int) -> None:
-        if any(len(row) != width for row in reduced):
-            raise ValueError("basis/vector shape mismatch")
-        d = lcm(*[x.denominator for row in reduced for x in row])
-        rows = [[x.numerator * (d // x.denominator) for x in row] for row in reduced]
-        self.width = width
-        self.denominator = d
-        self.pivots = pivot_columns(reduced)
-        self.free = tuple((c, [row[c] for row in rows]) for c in range(width) if c not in self.pivots)
-
-    def contains(self, u: Sequence[int]) -> bool:
-        if len(u) != self.width:
-            raise ValueError("basis/vector shape mismatch")
-        x = [u[c] for c in self.pivots]
-        d = self.denominator
-        for c, column in self.free:
-            if d * u[c] != sum(map(mul, x, column)):
-                return False
-        return True
 
 
 def scale_first_nonzero(v: Sequence[Fraction]) -> Vector:

@@ -26,11 +26,9 @@ class SearchBound:
     """Limits for the brute-force searches."""
 
     lambda_height: int = 64
-    crt_limit: int = 100_000
-    field_order: int = 3
 
     def __post_init__(self) -> None:
-        if min(self.lambda_height, self.crt_limit, self.field_order) < 1:
+        if self.lambda_height < 1:
             raise ValueError("all bounds must be >= 1")
 
 

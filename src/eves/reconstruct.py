@@ -57,7 +57,7 @@ class CompareReport:
 def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
     """The two-color configuration (S_i, S_j) under weight (p_i, p_j).
 
-    It shares the parent's tuples, points, spans and brackets; ell is the parent's.
+    It shares the parent's tuples, points, spans and brackets.
     """
     n = len(cfg.weight.parts) - 1
     if not (0 <= i < j <= n):
@@ -68,7 +68,7 @@ def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
     points = {name: cfg.points[name] for name in sorted(used)}
     spans = {t: cfg.spans[t] for color in colors for t in color}
     return Configuration(
-        Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, cfg.ell, colors, points, spans, cfg.brackets
+        Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, colors, points, spans, cfg.brackets
     )
 
 
@@ -87,7 +87,7 @@ def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
         tuple(t for t in color for _ in range(lcm // p)) for color, p in zip(pair_cfg.colors, (p_i, p_j))
     )
     return Configuration(
-        Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim, pair_cfg.ell * lcm,
+        Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim,
         colors, pair_cfg.points, pair_cfg.spans, pair_cfg.brackets,
     )
 

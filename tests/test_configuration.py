@@ -7,8 +7,10 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eves import (
+    Configuration,
     ConfigurationError,
     ProjPoint,
     RTuple,
@@ -193,6 +195,48 @@ class TestSpans:
     def test_empty_basis_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one row"):
             Subspace(())
+
+
+BIG = 10**12
+
+echelon_entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def span_families(draw):
+    """Reduced echelon bases of one shape, in groups that share all rows but the last."""
+    width = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, width))
+    bases = []
+    for _ in range(draw(st.integers(1, 4))):
+        pivots = sorted(draw(st.sets(st.integers(0, width - 1), min_size=rank, max_size=rank)))
+        rows = []
+        for p in pivots:
+            row = [F(0)] * width
+            row[p] = F(1)
+            rows.append(row)
+        free = [(k, c) for k, p in enumerate(pivots) for c in range(p + 1, width) if c not in pivots]
+        for k, c in free:
+            rows[k][c] = draw(echelon_entries)
+        for _ in range(draw(st.integers(1, 4))):  # variants share all rows but the last
+            for k, c in free:
+                if k == rank - 1:
+                    rows[k][c] = draw(echelon_entries)
+            bases.append(tuple(map(tuple, rows)))
+    return width, rank, bases
+
+
+class TestSubspaceOrder:
+    @given(span_families())
+    def test_integer_order_is_the_basis_order(self, family):
+        width, rank, bases = family
+        spans = {RTuple((f"s{k}",)): Subspace(basis) for k, basis in enumerate(bases)}
+        cfg = Configuration(Weight((1, 1)), rank, width - 1, ((), ()), {}, spans)
+        assert cfg.subspaces() == tuple(sorted(set(spans.values()), key=lambda s: s.basis))
 
 
 class TestDegrees:

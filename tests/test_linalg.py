@@ -73,20 +73,20 @@ def test_rref_rank_and_pivots_agree_with_minors(rows):
     reduced, rk = linalg.rref(rows)
     assert rk == len(reduced) == oracle_rank(rows) == linalg.rank(rows)
     if rk == len(rows):
-        assert linalg.pivot_columns(reduced) == _pivot_columns(rows)
+        assert Subspace(reduced).pivots == _pivot_columns(rows)
     else:
         with pytest.raises(ValueError, match="dependent"):
             _pivot_columns(rows)
-    if rk:
+    if rk:  # a rank-0 matrix spans no Subspace: ``Subspace(())`` is refused
         assert all(_in_span(list(reduced), row) for row in rows)
-        assert linalg.pivot_columns(reduced) == _pivot_columns(list(reduced))
+        assert Subspace(reduced).pivots == _pivot_columns(list(reduced))
 
 
 @given(matrices())
 def test_integer_echelon_is_primitive_and_scales_to_rref(rows):
-    echelon, pivots = linalg.integer_echelon([linalg.clear_denominators(row)[0] for row in rows])
-    reduced, _ = linalg.rref(rows)
-    assert pivots == linalg.pivot_columns(reduced)
+    echelon, pivots, _ = linalg.integer_echelon_minor([linalg.clear_denominators(row)[0] for row in rows])
+    reduced, rk = linalg.rref(rows)
+    assert pivots == (_pivot_columns(list(reduced)) if rk else ())
     for row, ref, c in zip(echelon, reduced, pivots):
         assert row[c] > 0 and math.gcd(*row) == 1
         assert tuple(F(x, row[c]) for x in row) == ref
@@ -96,9 +96,10 @@ def test_integer_echelon_is_primitive_and_scales_to_rref(rows):
 def test_signed_last_pivot_is_the_pivot_block_det(rows):
     ints = [linalg.clear_denominators(row)[0] for row in rows]
     echelon, pivots, minor = linalg.integer_echelon_minor(ints)
-    assert (echelon, pivots) == linalg.integer_echelon(ints)
     if len(pivots) == len(rows):
-        assert minor == linalg.integer_det([[row[c] for c in pivots] for row in ints]) != 0
+        span = Subspace(linalg.rref(rows)[0])
+        assert span.pivots == pivots
+        assert minor == span.minor(ints) == _cofactor_det([[row[c] for c in pivots] for row in ints]) != 0
 
 
 def test_ragged_rows_refused():
@@ -118,9 +119,27 @@ def test_membership_agrees_with_minors(rows, values, combine):
     else:
         v = tuple(values[: len(rows[0])])
     expected = _in_span(list(reduced), v)
-    assert Subspace(reduced).contains(v) == expected
+    span = Subspace(reduced)
+    assert span.contains(v) == expected
     u = linalg.clear_denominators(v)[0]
-    assert linalg.IntegerEchelon(reduced, len(v)).contains(u) == expected
+    assert span.contains_integer(u) == span.contains_integer([-3 * x for x in u]) == expected
+
+
+@given(matrices(), st.data())
+def test_minor_is_the_determinant_in_the_echelon_basis(rows, data):
+    reduced, rk = linalg.rref(rows)
+    if rk == 0:
+        return
+    span = Subspace(reduced)
+    basis = list(reduced)
+    coeffs = st.lists(st.lists(st.integers(-BIG, BIG), min_size=rk, max_size=rk), min_size=rk, max_size=rk)
+    members = [
+        linalg.clear_denominators([sum(a * row[c] for a, row in zip(combo, basis)) for c in range(len(basis[0]))])[0]
+        for combo in data.draw(coeffs)
+    ]
+    assert all(span.contains_integer(u) for u in members)
+    cols = _pivot_columns(basis)
+    assert span.minor(members) == _cofactor_det([_cramer_coords(basis, cols, tuple(u)) for u in members])
 
 
 @given(matrices(square=True))
