@@ -138,17 +138,6 @@ def _oracle_invariant_matches(cfg: Configuration) -> bool:
     return wps_equivalent(eves_invariant(cfg).point, oracle.brute_invariant(cfg).point)
 
 
-def _recount_degrees(cfg: Configuration) -> bool:
-    """Naive recount of point degrees against the report (validate --oracle)."""
-    report = validate_h(cfg)
-    for name in cfg.points:
-        for c, color in enumerate(cfg.colors):
-            direct = sum(t.members.count(name) for t in color)
-            if direct != report.point_degrees[name][c]:
-                return False
-    return True
-
-
 def run(args: argparse.Namespace) -> int:
     out = sys.stdout
 
@@ -162,7 +151,7 @@ def run(args: argparse.Namespace) -> int:
             weight = parse_weight(args.weight) if args.weight else None
         report = validate_h(cfg, weight)
         out.write(_render_report(report))
-        if args.oracle and not _recount_degrees(cfg):
+        if args.oracle and not oracle.report_matches_recount(cfg, report, weight):
             return mismatch("degree recount disagrees with the report")
         return EXIT_OK if report.h_valid else EXIT_NEGATIVE
 

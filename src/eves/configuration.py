@@ -1,8 +1,9 @@
 """Colored configurations of independent point tuples in projective space.
 
-A configuration carries a weight with one part per color; color c holds
-ell * p_c tuples of arity r, each tuple spanning an r-dimensional linear
-subspace.  The admissibility check (``validate_h``) demands that per-point and
+A configuration carries a weight with one part per color; color c is a
+multiset of ell * p_c tuples of arity r, each tuple spanning an r-dimensional
+linear subspace, stored as counts: each distinct tuple with its multiplicity.
+The admissibility check (``validate_h``) demands that per-point and
 per-span color degrees are proportional to the weight with integer ratios.
 """
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import attrgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -133,10 +134,13 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Configuration:
+    """``counts[c]`` maps each distinct tuple of color c to its multiplicity, in
+    member-name order; ``colors``, the sorted lists with repeats, is built on first use."""
+
     weight: Weight
     arity: int
     dim: int
-    colors: tuple[tuple[RTuple, ...], ...]
+    counts: tuple[dict[RTuple, int], ...]
     points: dict[str, ProjPoint]
     spans: dict[RTuple, Subspace] = field(compare=False, repr=False, default_factory=dict)
     # each distinct tuple's bracket on canonical representatives in its span's
@@ -146,11 +150,12 @@ class Configuration:
     @property
     def ell(self) -> int:
         """The common quotient |S_c| / p_c of the color list lengths by the weight parts."""
-        return len(self.colors[0]) // self.weight.parts[0]
+        return sum(self.counts[0].values()) // self.weight.parts[0]
 
-    def all_tuples(self) -> Iterable[RTuple]:
-        for color in self.colors:
-            yield from color
+    @cached_property
+    def colors(self) -> tuple[tuple[RTuple, ...], ...]:
+        """Each color as its sorted list of tuples, repeats included."""
+        return tuple(tuple(t for t, k in color.items() for _ in range(k)) for color in self.counts)
 
     def subspaces(self) -> tuple[Subspace, ...]:
         """Distinct spans, in the order of their bases R, compared in integers:
@@ -201,8 +206,8 @@ def build_configuration(
 
     Infers ell from the color list lengths (|S_c| = ell * p_c must hold with
     one positive integer ell for every color), checks that every tuple names
-    known points and is linearly independent, and stores each color as a
-    deterministically sorted multiset.
+    known points and is linearly independent, and stores each color as
+    counts: each distinct tuple with its multiplicity, sorted on member names.
 
     The elimination that finds a tuple's span also brackets the tuple: a
     canonical representative is the point's cleared integer row u divided by
@@ -245,7 +250,7 @@ def build_configuration(
         leads[name] = next(filter(None, row))
 
     ell: int | None = None
-    stored: list[tuple[RTuple, ...]] = []
+    counts: list[dict[RTuple, int]] = []
     spans: dict[RTuple, Subspace] = {}
     brackets: dict[RTuple, tuple[int, int]] = {}
     interned: dict[tuple, Subspace] = {}
@@ -294,9 +299,11 @@ def build_configuration(
                 for name in t.members:
                     lead_product *= leads[name]
                 brackets[t] = minor, lead_product
-        stored.append(tuple(sorted(tuples, key=attrgetter("members"))))
+        # sorted on the names, not with RTuple's generated comparison, which runs in Python;
+        # a Counter keeps first-insertion order, so counting the sorted list keeps it sorted
+        counts.append(dict(Counter(sorted(tuples, key=attrgetter("members")))))
 
-    return Configuration(weight, arity, dim, tuple(stored), table, spans, brackets)
+    return Configuration(weight, arity, dim, tuple(counts), table, spans, brackets)
 
 
 def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
@@ -320,12 +327,12 @@ def point_degree(cfg: Configuration, name: str, c: int) -> int:
     """How many color-c tuples contain the named point (with multiplicity)."""
     if name not in cfg.points:
         raise ConfigurationError(f"unknown point name {name!r}")
-    return sum(1 for t in cfg.colors[c] if name in t.members)
+    return sum(k for t, k in cfg.counts[c].items() if name in t.members)
 
 
 def subspace_degree(cfg: Configuration, subspace: Subspace, c: int) -> int:
     """How many color-c tuples span the given subspace (with multiplicity)."""
-    return sum(1 for t in cfg.colors[c] if cfg.spans[t] == subspace)
+    return sum(k for t, k in cfg.counts[c].items() if cfg.spans[t] == subspace)
 
 
 @dataclass(frozen=True)
@@ -361,30 +368,31 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
     w = weight if weight is not None else cfg.weight
     parts = w.parts
     failure: str | None = None
+    sizes = [sum(color.values()) for color in cfg.counts]
 
-    if len(parts) != len(cfg.colors):
-        failure = f"weight length {len(parts)} does not match {len(cfg.colors)} colors"
+    if len(parts) != len(sizes):
+        failure = f"weight length {len(parts)} does not match {len(sizes)} colors"
     else:
         ell = None
-        for c, color in enumerate(cfg.colors):
-            q, rem = divmod(len(color), parts[c])
+        for c, size in enumerate(sizes):
+            q, rem = divmod(size, parts[c])
             if rem != 0 or q == 0 or (ell is not None and q != ell):
-                failure = f"colors[{c}]: length {len(color)} incompatible with weight part {parts[c]}"
+                failure = f"colors[{c}]: length {size} incompatible with weight part {parts[c]}"
                 break
             ell = q
 
-    point_counts: dict[str, list[int]] = {name: [0] * len(cfg.colors) for name in cfg.points}
+    point_counts: dict[str, list[int]] = {name: [0] * len(sizes) for name in cfg.points}
     span_counts: Counter[tuple[Subspace, int]] = Counter()
-    for c, color in enumerate(cfg.colors):
-        for t in color:
+    for c, color in enumerate(cfg.counts):
+        for t, k in color.items():
             for name in t.members:
-                point_counts[name][c] += 1
-            span_counts[(cfg.spans[t], c)] += 1
+                point_counts[name][c] += k
+            span_counts[(cfg.spans[t], c)] += k
 
     subspaces = cfg.subspaces()
     point_degrees = {name: tuple(v) for name, v in point_counts.items()}
     subspace_degrees = {
-        s: tuple(span_counts[(s, c)] for c in range(len(cfg.colors))) for s in subspaces
+        s: tuple(span_counts[(s, c)] for c in range(len(sizes))) for s in subspaces
     }
 
     point_quotients: dict[str, int | None] = {}
@@ -404,7 +412,7 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
         point_quotients = {name: None for name in point_degrees}
         subspace_multiplicities = {s: None for s in subspace_degrees}
 
-    ell_out = cfg.ell if weight is None else (len(cfg.colors[0]) // parts[0] if failure is None else 0)
+    ell_out = cfg.ell if weight is None else (sizes[0] // parts[0] if failure is None else 0)
     return DegreeReport(
         h_valid=failure is None,
         ell=ell_out,

@@ -18,7 +18,6 @@ choices enter as scalars.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -193,9 +192,9 @@ def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None)
     _require_h(cfg)
     brackets = _chosen_brackets(cfg, choices)
     coords = []
-    for color in cfg.colors:
+    for color in cfg.counts:
         num = den = 1  # the product's numerator and denominator; one Fraction per color
-        for t, k in Counter(color).items():
+        for t, k in color.items():
             n, d = brackets[t]
             num *= n**k
             den *= d**k

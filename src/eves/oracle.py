@@ -5,7 +5,9 @@ search tries every bounded rational directly against the defining equations,
 the congruence search scans the full residue range, the finite-field
 enumeration builds equivalence classes as orbits, and the invariant is
 re-evaluated with cofactor determinants, Cramer solves, and a different
-representative normalization.
+representative normalization.  Admissibility is recounted from the list view
+``Configuration.colors``, one occurrence at a time, over the oracle's own span
+groups, so the stored multiplicities are checked end to end.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .configuration import Configuration, RTuple, validate_h
+from .configuration import Configuration, DegreeReport, RTuple
 from .invariant import InvariantValue, NotHConfigurationError
 from .numtheory import CongruenceSystem
 from .wps import Weight, WeightedPoint
@@ -28,7 +30,8 @@ class SearchBound:
     lambda_height: int = 64
 
     def __post_init__(self) -> None:
-        if self.lambda_height < 1:
+        height = self.lambda_height
+        if isinstance(height, bool) or not isinstance(height, int) or height < 1:
             raise ValueError("all bounds must be >= 1")
 
 
@@ -56,9 +59,10 @@ def bounded_lambda_search(z: WeightedPoint, w: WeightedPoint, bound: SearchBound
     """Try every scalar +-a/b with a, b up to the bound against the definition.
 
     A candidate l passes iff w_k == l**p_k * z_k for every coordinate; the
-    comparison is done with cross-multiplied integers.
+    comparison is done with cross-multiplied integers.  An integer bound is
+    checked as a ``SearchBound``.
     """
-    height = bound.lambda_height if isinstance(bound, SearchBound) else int(bound)
+    height = (bound if isinstance(bound, SearchBound) else SearchBound(bound)).lambda_height
     if z.weight != w.weight:
         raise ValueError("points live in different weighted projective spaces")
     parts = z.weight.parts
@@ -190,20 +194,10 @@ def _pivot_columns(basis: list[tuple[Fraction, ...]]) -> tuple[int, ...]:
     raise ValueError("basis rows are linearly dependent")
 
 
-def brute_invariant(cfg: Configuration) -> InvariantValue:
-    """Re-evaluate the weighted invariant with an independent pipeline.
-
-    Representatives are scaled so the last nonzero coordinate is 1; each
-    span's basis is the representative tuple of its first occurrence (colors
-    scanned in order); coordinates come from Cramer solves and determinants
-    from cofactor expansion.  Span grouping uses minor-vanishing rank tests
-    rather than echelon forms.
-    """
-    report = validate_h(cfg)
-    if not report.h_valid:
-        raise NotHConfigurationError(report.first_failure or "configuration is not admissible")
-    reps = {name: _last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}
-
+def _span_groups(cfg: Configuration, reps: dict[str, tuple[Fraction, ...]]) -> tuple[list[list[tuple[Fraction, ...]]], dict[RTuple, int]]:
+    """Distinct tuples grouped by span with minor-vanishing rank tests; each
+    group's basis is the representative tuple of its first occurrence (colors
+    scanned in order)."""
     group_bases: list[list[tuple[Fraction, ...]]] = []
     tuple_group: dict[RTuple, int] = {}
     for color in cfg.colors:
@@ -218,6 +212,72 @@ def brute_invariant(cfg: Configuration) -> InvariantValue:
             else:
                 tuple_group[t] = len(group_bases)
                 group_bases.append(vectors)
+    return group_bases, tuple_group
+
+
+def _integer_multiple(values: tuple[int, ...], parts: tuple[int, ...]) -> bool:
+    """Whether values = q * parts for one integer q, tested by cross-multiplication."""
+    return values[0] % parts[0] == 0 and all(v * parts[0] == values[0] * p for v, p in zip(values, parts))
+
+
+@dataclass(frozen=True)
+class BruteDegrees:
+    """Degrees recounted one tuple occurrence at a time, with the verdict they give."""
+
+    h_valid: bool
+    point_degrees: dict[str, tuple[int, ...]]
+    span_degrees: list[tuple[int, ...]]  # one per span group, in order of first occurrence
+
+
+def _recount(cfg: Configuration, parts: tuple[int, ...], tuple_group: dict[RTuple, int]) -> BruteDegrees:
+    """Lengths and degrees counted over the list view, span degrees by ``tuple_group``."""
+    colors = cfg.colors
+    points = {name: [0] * len(colors) for name in cfg.points}
+    spans: dict[int, list[int]] = {}
+    for c, color in enumerate(colors):
+        for t in color:
+            for name in t.members:
+                points[name][c] += 1
+            spans.setdefault(tuple_group[t], [0] * len(colors))[c] += 1
+    lengths = tuple(len(color) for color in colors)
+    degrees = [lengths, *map(tuple, points.values()), *map(tuple, spans.values())]
+    valid = len(parts) == len(colors) and lengths[0] > 0 and all(_integer_multiple(d, parts) for d in degrees)
+    return BruteDegrees(valid, {name: tuple(d) for name, d in points.items()}, [tuple(d) for d in spans.values()])
+
+
+def brute_degrees(cfg: Configuration, weight: Weight | None = None) -> BruteDegrees:
+    """Recount list lengths, point degrees and span degrees from ``cfg.colors``,
+    under ``weight`` when given, and decide admissibility with an integer
+    proportionality test of its own."""
+    parts = (weight if weight is not None else cfg.weight).parts
+    reps = {name: _last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}
+    return _recount(cfg, parts, _span_groups(cfg, reps)[1])
+
+
+def report_matches_recount(cfg: Configuration, report: DegreeReport, weight: Weight | None = None) -> bool:
+    """Whether a degree report's point degrees, span-degree vectors (as a
+    multiset, since span orders differ) and verdict equal ``brute_degrees``."""
+    brute = brute_degrees(cfg, weight)
+    return (
+        report.point_degrees == brute.point_degrees
+        and sorted(report.subspace_degrees.values()) == sorted(brute.span_degrees)
+        and report.h_valid == brute.h_valid
+    )
+
+
+def brute_invariant(cfg: Configuration) -> InvariantValue:
+    """Re-evaluate the weighted invariant with an independent pipeline.
+
+    Representatives are scaled so the last nonzero coordinate is 1; each
+    span's basis is the representative tuple of its first occurrence (colors
+    scanned in order); coordinates come from Cramer solves and determinants
+    from cofactor expansion.  Span grouping uses minor-vanishing rank tests
+    rather than echelon forms, and admissibility is ``brute_degrees``' recount.
+    """
+    reps = {name: _last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}
+    group_bases, tuple_group = _span_groups(cfg, reps)
+    if not _recount(cfg, cfg.weight.parts, tuple_group).h_valid:
+        raise NotHConfigurationError("recounted degrees are not proportional to the weight")
 
     pivots = [_pivot_columns(basis) for basis in group_bases]
     coords_out = []

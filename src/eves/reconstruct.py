@@ -10,12 +10,14 @@ E_p does; over non-reconstructible weights it distinguishes strictly fewer.
 restricts the configuration to each pair (S_i, S_j), expands the pair to a
 weight (1,1) configuration by repeating each tuple of the lists lcm/p_i and
 lcm/p_j times, and compares the expansion's classical invariant with the
-projection.  The pair's admissibility and all of its brackets are computed
-again: each distinct tuple of the configuration is bracketed once through
-the public ``bracket``, on canonical representatives and with its membership
-check, and every pair expansion is evaluated on that table, not on the one
-stored when the configuration was built.  Its points, tuples and spans are
-the parent's own objects, since the parent already checked and reduced them.
+projection.  The expansion holds counts, each multiplicity times lcm/p, so
+it is no larger than the pair.  The pair's admissibility and all of its
+brackets are computed again: each distinct tuple of the configuration is
+bracketed once through the public ``bracket``, on canonical representatives
+and with its membership check, and every pair expansion is evaluated on that
+table, not on the one stored when the configuration was built.  Its points,
+tuples and spans are the parent's own objects, since the parent already
+checked and reduced them.
 """
 
 from __future__ import annotations
@@ -63,12 +65,12 @@ def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
     if not (0 <= i < j <= n):
         raise ValueError(f"color pair ({i},{j}) out of range for {n + 1} colors")
     parts = (cfg.weight.parts[i], cfg.weight.parts[j])
-    colors = (cfg.colors[i], cfg.colors[j])
-    used = {name for color in colors for t in color for name in t.members}
+    counts = (cfg.counts[i], cfg.counts[j])
+    used = {name for color in counts for t in color for name in t.members}
     points = {name: cfg.points[name] for name in sorted(used)}
-    spans = {t: cfg.spans[t] for color in colors for t in color}
+    spans = {t: cfg.spans[t] for color in counts for t in color}
     return Configuration(
-        Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, colors, points, spans, cfg.brackets
+        Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, counts, points, spans, cfg.brackets
     )
 
 
@@ -76,19 +78,19 @@ def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
     """Repeat each tuple of the two color lists up to the lcm of their weight parts.
 
     The result is a weight (1,1) configuration with ell multiplied by the lcm;
-    admissibility is inherited from the weighted input.  Each sorted list
-    stays sorted, and the points, spans and brackets are the input's own.
+    admissibility is inherited from the weighted input.  Each multiplicity of
+    color c is multiplied by lcm/p_c; the points, spans and brackets are the input's own.
     """
     if len(pair_cfg.weight.parts) != 2:
         raise ValueError("expansion takes a two-color configuration")
     p_i, p_j = pair_cfg.weight.parts
     lcm = math.lcm(p_i, p_j)
-    colors = tuple(
-        tuple(t for t in color for _ in range(lcm // p)) for color, p in zip(pair_cfg.colors, (p_i, p_j))
+    counts = tuple(
+        {t: k * (lcm // p) for t, k in color.items()} for color, p in zip(pair_cfg.counts, (p_i, p_j))
     )
     return Configuration(
         Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim,
-        colors, pair_cfg.points, pair_cfg.spans, pair_cfg.brackets,
+        counts, pair_cfg.points, pair_cfg.spans, pair_cfg.brackets,
     )
 
 

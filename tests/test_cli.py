@@ -146,9 +146,16 @@ class TestReconstruct:
 
 @pytest.mark.parametrize("name", CONFIG_FIXTURES)
 def test_oracle_never_mismatches_or_crashes(capsys, fixtures_dir, name):
-    for command in ("invariant", "reconstruct"):
+    for command in ("validate", "invariant", "reconstruct"):
         code, _, err = run_cli(capsys, command, str(fixtures_dir / name), "--oracle")
         assert code not in (4, 5), err
+
+
+@pytest.mark.parametrize("weight", ["1,1", "2,2", "2,2,4", "1,2,3"])
+def test_validate_oracle_under_another_weight(capsys, fixtures_dir, weight):
+    for name in ("midpoint_triangle_aligned.json", "segment_pair_aligned.json"):
+        code, _, err = run_cli(capsys, "validate", str(fixtures_dir / name), "--oracle", "--weight", weight)
+        assert code in (0, 1), err
 
 
 class TestCompare:

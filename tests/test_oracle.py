@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,15 +12,18 @@ from eves import (
     build_configuration,
     eves_invariant,
     load_configuration,
+    validate_h,
     wps_equivalent,
 )
 from eves.numtheory import CongruenceSystem, crt_solve
 from eves.oracle import (
     SearchBound,
     bounded_lambda_search,
+    brute_degrees,
     brute_invariant,
     exhaustive_crt,
     ff_enumerate_classes,
+    report_matches_recount,
 )
 from conftest import random_h_configuration, random_simplex_configuration
 
@@ -33,6 +37,21 @@ class TestSearchBound:
         with pytest.raises(ValueError):
             SearchBound(lambda_height=0)
         assert SearchBound().lambda_height == 64
+
+    @pytest.mark.parametrize("height", [0, -5, True, False, 2.7, 3.0, "8", None])
+    def test_refuses_non_positive_and_non_integer_heights(self, height):
+        with pytest.raises(ValueError, match="all bounds must be >= 1"):
+            SearchBound(lambda_height=height)
+
+    @pytest.mark.parametrize("height", [0, -5, True, 2.7])
+    def test_integer_bound_goes_through_search_bound(self, height):
+        z = wpt([F(3, 5), -2], [3, 4])
+        with pytest.raises(ValueError, match="all bounds must be >= 1"):
+            bounded_lambda_search(z, z, height)
+
+    def test_positive_integer_bound_finds_identity(self):
+        z = wpt([F(3, 5), -2], [3, 4])
+        assert bounded_lambda_search(z, z, 1) and bounded_lambda_search(z, z, SearchBound(1))
 
 
 class TestBoundedLambdaSearch:
@@ -137,5 +156,52 @@ class TestBruteInvariant:
     def test_rejects_non_admissible(self):
         pts = {f"t{k}": (F(1), F(k)) for k in range(3)}
         cfg = build_configuration(Weight((1, 1)), 2, 1, [[("t0", "t1")], [("t0", "t2")]], pts)
+        with pytest.raises(NotHConfigurationError):
+            brute_invariant(cfg)
+
+
+class TestBruteDegrees:
+    """The oracle's recount of admissibility, independent of ``validate_h``."""
+
+    def corpus(self, fixtures_dir):
+        cfgs = [load_configuration(path) for path in sorted(fixtures_dir.glob("*.json"))
+                if path.name != "projection_matrix.json"]
+        rng = random.Random(53)
+        return cfgs + [random_h_configuration(rng) for _ in range(15)]
+
+    def test_agrees_with_validate_h(self, fixtures_dir):
+        for cfg in self.corpus(fixtures_dir):
+            for weight in (None, Weight((1, 1)), Weight((2, 2, 4))):
+                report = validate_h(cfg, weight)
+                brute = brute_degrees(cfg, weight)
+                assert brute.point_degrees == report.point_degrees
+                assert sorted(brute.span_degrees) == sorted(report.subspace_degrees.values())
+                assert brute.h_valid == report.h_valid
+                assert report_matches_recount(cfg, report, weight)
+
+    def test_repeated_tuples_count_once_per_occurrence(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "segment_pair_aligned.json")
+        assert any(k > 1 for color in cfg.counts for k in color.values())
+        brute = brute_degrees(cfg)
+        assert brute.h_valid
+        assert [sum(d[c] for d in brute.span_degrees) for c in range(2)] == [len(c) for c in cfg.colors]
+
+    def test_detects_a_wrong_report(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        report = validate_h(cfg)
+        name = sorted(report.point_degrees)[0]
+        span = next(iter(report.subspace_degrees))
+        bumped = tuple(d + 1 for d in report.point_degrees[name])
+        assert not report_matches_recount(cfg, replace(report, h_valid=False))
+        assert not report_matches_recount(cfg, replace(report, point_degrees={**report.point_degrees, name: bumped}))
+        doubled = tuple(2 * d for d in report.subspace_degrees[span])
+        assert not report_matches_recount(cfg, replace(report, subspace_degrees={**report.subspace_degrees, span: doubled}))
+
+    def test_refuses_non_proportional_degrees(self):
+        # every point has degrees (1,1) under weight (2,2): list lengths fit, degrees do not
+        points = {name: (F(1), F(t)) for t, name in enumerate("abcd")}
+        cfg = build_configuration(Weight((2, 2)), 2, 1, [[("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")]], points)
+        assert not brute_degrees(cfg).h_valid
+        assert brute_degrees(cfg, Weight((1, 1))).h_valid
         with pytest.raises(NotHConfigurationError):
             brute_invariant(cfg)

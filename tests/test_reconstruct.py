@@ -22,8 +22,11 @@ from eves import (
     validate_h,
     wps_equivalent,
 )
+from eves import reconstruct
+from eves.configuration import RTuple
 from eves.reconstruct import render_compare, render_reconstruction
 from eves.wps import index_pairs
+import conftest
 from conftest import CONFIG_FIXTURES, FIXTURES, random_h_configuration, random_invertible_matrix
 
 ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
@@ -100,7 +103,7 @@ def assert_same_configuration(derived, built, parent):
     assert derived == built  # weight, arity, dim, ell, colors and points
     assert list(derived.points) == list(built.points)
     assert derived.spans == built.spans
-    assert set(derived.spans) == set(derived.all_tuples())
+    assert set(derived.spans) == set().union(*derived.counts)
     # the parent's own objects, not copies
     assert all(derived.points[name] is parent.points[name] for name in derived.points)
     assert all(derived.spans[t] is parent.spans[t] for t in derived.spans)
@@ -134,6 +137,106 @@ class TestDerivedConfigurations:
                 assert_same_configuration(expansion, built, cfg)
                 assert expansion.ell == pair.ell * lcm
                 assert expansion.colors == tuple(tuple(sorted(c)) for c in colors)
+
+
+COUNT_WEIGHTS = ((2, 3, 5), (1, 2, 3, 4), (31, 29))
+
+
+def corpus_with_inputs(monkeypatch):
+    """Random admissible configurations of both conftest families at COUNT_WEIGHTS,
+    each with the color lists it was built from, plus one non-admissible one."""
+    inputs = []
+
+    def recording(weight, arity, dim, colors, points):
+        inputs.append(colors)
+        return build_configuration(weight, arity, dim, colors, points)
+
+    monkeypatch.setattr(conftest, "build_configuration", recording)
+    rng = random.Random(59)
+    corpus = []
+    for parts in COUNT_WEIGHTS:
+        for make in (conftest.random_h_configuration, conftest.random_simplex_configuration):
+            for _ in range(3):
+                corpus.append((make(rng, parts=parts), inputs[-1]))
+    colors = [[("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")]]
+    points = {name: (F(1), F(t)) for t, name in enumerate("abcd")}
+    corpus.append((build_configuration(Weight((2, 2)), 2, 1, colors, points), colors))
+    return corpus
+
+
+def derived_with_lists(cfg, lists):
+    """cfg and every color pair of it and its unit-weight expansion, each with
+    the input lists it stands for, as made from cfg's input lists."""
+    yield cfg, lists
+    for i, j in index_pairs(cfg.weight):
+        pair = restrict_pair(cfg, i, j)
+        yield pair, [lists[i], lists[j]]
+        lcm = math.lcm(*pair.weight.parts)
+        yield unit_weight_expansion(pair), [list(lists[c]) * (lcm // cfg.weight.parts[c]) for c in (i, j)]
+
+
+def naive_degrees(cfg):
+    """Point degrees, span degrees, ell and verdict counted one occurrence at a
+    time over the list view ``cfg.colors``."""
+    n, parts = len(cfg.colors), cfg.weight.parts
+    points = {name: [0] * n for name in cfg.points}
+    spans = {}
+    for c, color in enumerate(cfg.colors):
+        for t in color:
+            for name in t.members:
+                points[name][c] += 1
+            spans.setdefault(cfg.spans[t], [0] * n)[c] += 1
+    ell = len(cfg.colors[0]) // parts[0]
+    degrees = [*points.values(), *spans.values()]
+    valid = all(len(color) == ell * p for color, p in zip(cfg.colors, parts)) and all(
+        all(d == (degs[0] // parts[0]) * p for d, p in zip(degs, parts)) for degs in degrees
+    )
+    return {k: tuple(v) for k, v in points.items()}, {k: tuple(v) for k, v in spans.items()}, ell, valid
+
+
+class TestCounts:
+    """Colors are stored as counts; every reader agrees with the lists they stand for."""
+
+    def test_validate_h_matches_naive_recount(self, monkeypatch):
+        for cfg, lists in corpus_with_inputs(monkeypatch):
+            for derived, derived_lists in derived_with_lists(cfg, lists):
+                report = validate_h(derived)
+                point_degrees, span_degrees, ell, valid = naive_degrees(derived)
+                assert report.point_degrees == point_degrees
+                assert report.subspace_degrees == span_degrees
+                assert (report.ell, report.h_valid) == (ell, valid)
+                assert derived.ell == ell
+
+    def test_colors_are_the_sorted_input_lists(self, monkeypatch):
+        for cfg, lists in corpus_with_inputs(monkeypatch):
+            for derived, derived_lists in derived_with_lists(cfg, lists):
+                expected = tuple(tuple(sorted(RTuple(tuple(t)) for t in color)) for color in derived_lists)
+                assert derived.colors == expected
+                assert [list(color) for color in derived.counts] == [
+                    list(dict.fromkeys(color)) for color in expected
+                ]
+
+    def test_identity_check_expands_counts(self, monkeypatch):
+        expansions = []
+
+        def capture(pair):
+            expansions.append((pair, unit_weight_expansion(pair)))
+            return expansions[-1][1]
+
+        corpus = [cfg for cfg, _ in corpus_with_inputs(monkeypatch) if validate_h(cfg).h_valid]
+        monkeypatch.setattr(reconstruct, "unit_weight_expansion", capture)
+        for cfg in corpus:
+            expansions.clear()
+            assert check_reconstruction_identity(cfg, eves_invariant(cfg).point)
+            assert len(expansions) == len(index_pairs(cfg.weight))
+            for pair, expansion in expansions:
+                lcm = math.lcm(*pair.weight.parts)
+                assert expansion.counts == tuple(
+                    {t: k * (lcm // p) for t, k in color.items()}
+                    for color, p in zip(pair.counts, pair.weight.parts)
+                )
+                assert [list(c) for c in expansion.counts] == [list(c) for c in pair.counts]
+                assert "colors" not in vars(expansion)
 
 
 class TestReconstructionVector:
