@@ -3,6 +3,8 @@
 A configuration carries a weight with one part per color; color c is a
 multiset of ell * p_c tuples of arity r, each tuple spanning an r-dimensional
 linear subspace, stored as counts: each distinct tuple with its multiplicity.
+A tuple (``RTuple``) is the plain tuple of its member names, in order, since
+a bracket changes sign with the order; it sorts and hashes as a tuple.
 The admissibility check (``validate_h``) demands that per-point and
 per-span color degrees are proportional to the weight with integer ratios.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter, mul
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -26,6 +28,9 @@ from .wps import FieldKind, Weight, format_rational, parse_rational
 # Input limits, checked before parsing; far above the fixtures and the benchmark's inputs
 MAX_INPUT_BYTES = 16 * 2**20  # one configuration or matrix file
 MAX_TUPLES = 100_000  # tuples in one configuration file, all colors together
+
+
+RTuple = tuple[str, ...]  # an r-tuple: the ordered names of its members
 
 
 class ConfigurationError(ValueError):
@@ -49,22 +54,6 @@ class ProjPoint:
     def canonical_rep(self) -> Vector:
         """The coordinates divided by their first nonzero entry, computed on first use."""
         return linalg.scale_first_nonzero(self.coords)
-
-
-@dataclass(frozen=True, order=True)
-class RTuple:
-    members: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        members = self.members
-        if type(members) is not tuple or not all(type(m) is str for m in members):
-            members = tuple(str(m) for m in members)
-            object.__setattr__(self, "members", members)
-        # tuples key the spans and brackets dicts and the per-color counters; hashed once here
-        object.__setattr__(self, "_hash", hash((members,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -134,8 +123,9 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Configuration:
-    """``counts[c]`` maps each distinct tuple of color c to its multiplicity, in
-    member-name order; ``colors``, the sorted lists with repeats, is built on first use."""
+    """``counts[c]`` maps each distinct tuple of color c, a tuple of member
+    names, to its multiplicity, in sorted order; ``colors``, the sorted lists
+    with repeats, is built on first use."""
 
     weight: Weight
     arity: int
@@ -171,9 +161,7 @@ class Configuration:
 
 
 def _as_rtuple(t) -> RTuple:
-    if isinstance(t, RTuple):
-        return t
-    return RTuple(tuple(t))
+    return t if type(t) is tuple else tuple(t)
 
 
 def _span(rows: Sequence[Sequence[int]], interned: dict) -> tuple[Subspace, int] | None:
@@ -272,54 +260,52 @@ def build_configuration(
                 f"colors[{c}]: implies ell = {quotient}, but earlier colors imply ell = {ell}"
             )
         for k, t in enumerate(tuples):
-            if len(t.members) != arity:
+            if len(t) != arity:
                 raise ConfigurationError(
-                    f"colors[{c}][{k}]: tuple has {len(t.members)} members, expected {arity}"
+                    f"colors[{c}][{k}]: tuple has {len(t)} members, expected {arity}"
                 )
-            for name in t.members:
-                if name not in table:
+            for name in t:
+                if not isinstance(name, str) or name not in table:
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
-                rows = [cleared[name] for name in t.members]
-                shared = set.intersection(*[proven[name] for name in t.members])
+                rows = [cleared[name] for name in t]
+                shared = set.intersection(*[proven[name] for name in t])
                 if shared:
                     span = next(iter(shared))
                     minor = span.minor(rows)
                 else:
                     span, minor = _span(rows, interned) or (None, 0)
                 if not minor:
-                    raise ConfigurationError(
-                        f"colors[{c}][{k}]: dependent r-tuple {t.members}"
-                    )
+                    raise ConfigurationError(f"colors[{c}][{k}]: dependent r-tuple {t}")
                 if not shared:
-                    for name in t.members:
+                    for name in t:
                         proven[name].add(span)
                 spans[t] = span
                 lead_product = 1
-                for name in t.members:
+                for name in t:
                     lead_product *= leads[name]
                 brackets[t] = minor, lead_product
-        # sorted on the names, not with RTuple's generated comparison, which runs in Python;
         # a Counter keeps first-insertion order, so counting the sorted list keeps it sorted
-        counts.append(dict(Counter(sorted(tuples, key=attrgetter("members")))))
+        counts.append(dict(Counter(sorted(tuples))))
 
     return Configuration(weight, arity, dim, tuple(counts), table, spans, brackets)
 
 
 def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
-    """Canonical echelon basis of the span of the tuple's representative vectors."""
+    """Canonical echelon basis of the span of the tuple's representative vectors.
+
+    The tuple is any sequence of point names; a member that is not the name
+    of a point, a non-``str`` included, is refused as unknown."""
     t = _as_rtuple(t)
+    for name in t:  # before the lookup, which hashes the names
+        if not isinstance(name, str) or name not in cfg.points:
+            raise ConfigurationError(f"unknown point name {name!r}")
     known = cfg.spans.get(t)
     if known is not None:
         return known
-    rows = []
-    for name in t.members:
-        if name not in cfg.points:
-            raise ConfigurationError(f"unknown point name {name!r}")
-        rows.append(linalg.clear_denominators(cfg.points[name].coords)[0])
-    found = _span(rows, {})
+    found = _span([linalg.clear_denominators(cfg.points[name].coords)[0] for name in t], {})
     if found is None:
-        raise ConfigurationError(f"dependent r-tuple {t.members}")
+        raise ConfigurationError(f"dependent r-tuple {t}")
     return found[0]
 
 
@@ -327,7 +313,7 @@ def point_degree(cfg: Configuration, name: str, c: int) -> int:
     """How many color-c tuples contain the named point (with multiplicity)."""
     if name not in cfg.points:
         raise ConfigurationError(f"unknown point name {name!r}")
-    return sum(k for t, k in cfg.counts[c].items() if name in t.members)
+    return sum(k for t, k in cfg.counts[c].items() if name in t)
 
 
 def subspace_degree(cfg: Configuration, subspace: Subspace, c: int) -> int:
@@ -363,29 +349,33 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
 
     With ``weight`` given, the stored lists are re-read under that weight
     instead (useful for probing alternative descriptions); shape mismatches
-    then surface as an invalid report, never as an exception.
+    then surface as an invalid report, never as an exception.  The report's
+    ell is set by the list lengths alone: their common quotient by the
+    weight parts, or 0 when they do not fit the weight.
     """
     w = weight if weight is not None else cfg.weight
     parts = w.parts
     failure: str | None = None
     sizes = [sum(color.values()) for color in cfg.counts]
 
+    ell: int | None = None
     if len(parts) != len(sizes):
         failure = f"weight length {len(parts)} does not match {len(sizes)} colors"
     else:
-        ell = None
         for c, size in enumerate(sizes):
             q, rem = divmod(size, parts[c])
             if rem != 0 or q == 0 or (ell is not None and q != ell):
                 failure = f"colors[{c}]: length {size} incompatible with weight part {parts[c]}"
                 break
             ell = q
+    if failure is not None:
+        ell = 0
 
     point_counts: dict[str, list[int]] = {name: [0] * len(sizes) for name in cfg.points}
     span_counts: Counter[tuple[Subspace, int]] = Counter()
     for c, color in enumerate(cfg.counts):
         for t, k in color.items():
-            for name in t.members:
+            for name in t:
                 point_counts[name][c] += k
             span_counts[(cfg.spans[t], c)] += k
 
@@ -412,10 +402,9 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
         point_quotients = {name: None for name in point_degrees}
         subspace_multiplicities = {s: None for s in subspace_degrees}
 
-    ell_out = cfg.ell if weight is None else (sizes[0] // parts[0] if failure is None else 0)
     return DegreeReport(
         h_valid=failure is None,
-        ell=ell_out,
+        ell=ell,
         weight=w,
         point_degrees=point_degrees,
         subspace_degrees=subspace_degrees,
@@ -522,7 +511,7 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         for k, t in enumerate(color):
             if not isinstance(t, list) or not all(isinstance(m, str) for m in t):
                 raise fail(f"colors[{c}][{k}]: must be a list of point names")
-            tuples.append(RTuple(tuple(t)))
+            tuples.append(tuple(t))
         colors.append(tuples)
 
     try:
@@ -569,6 +558,6 @@ def configuration_to_json(cfg: Configuration) -> str:
         "arity": cfg.arity,
         "dim": cfg.dim,
         "points": {name: [format_rational(x) for x in cfg.points[name].coords] for name in sorted(cfg.points)},
-        "colors": [[list(t.members) for t in color] for color in cfg.colors],
+        "colors": [[list(t) for t in color] for color in cfg.colors],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -113,7 +113,7 @@ def bracket(
         span = Subspace(reduced)
         block = _basis_det(span, rows)
     members, scale = [], 1
-    for name in t.members:
+    for name in t:
         u, d = linalg.clear_denominators(reps[name])
         if not span.contains_integer(u):
             raise ValueError(f"basis does not span the representative of point {name!r}")
@@ -172,7 +172,7 @@ def _chosen_brackets(cfg: Configuration, choices: BasisChoice | None) -> Mapping
     table = {}
     for t, span in cfg.spans.items():
         num, den = cfg.brackets[t]
-        for name in t.members:
+        for name in t:
             if name in factors:
                 num *= factors[name].numerator
                 den *= factors[name].denominator
@@ -266,9 +266,7 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
             rename[n] = merged
         image_points[merged] = image_vectors[names[0]]
 
-    new_colors = [
-        [RTuple(tuple(rename[m] for m in t.members)) for t in color] for color in cfg.colors
-    ]
+    new_colors = [[tuple(rename[m] for m in t) for t in color] for color in cfg.colors]
     points = {name: ProjPoint(name, coords) for name, coords in image_points.items()}
     new_dim = len(rows) - 1
     try:
@@ -300,8 +298,8 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Weigh
     _distinct_collinear(pts)
     dim = len(a.coords) - 1
     colors = [
-        [RTuple((d.name, a.name)), RTuple((c.name, b.name))],
-        [RTuple((c.name, a.name)), RTuple((d.name, b.name))],
+        [(d.name, a.name), (c.name, b.name)],
+        [(c.name, a.name), (d.name, b.name)],
     ]
     cfg = build_configuration(Weight((1, 1)), 2, dim, colors, {p.name: p for p in pts})
     return eves_invariant(cfg).point
@@ -344,7 +342,7 @@ def triangle_ratio(
         raise ValueError("points must carry distinct names")
     w = weight if weight is not None else Weight(default)
     dim = len(points[0].coords) - 1
-    colors = [[RTuple(tuple(names[i - 1] for i in tri)) for tri in color] for color in lists]
+    colors = [[tuple(names[i - 1] for i in tri) for tri in color] for color in lists]
     cfg = build_configuration(w, 3, dim, colors, {p.name: p for p in points})
     return eves_invariant(cfg).point
 
@@ -367,10 +365,10 @@ def signed_length_bracket(
     if any(row[0] != 1 for row in basis):
         raise ValueError("basis vectors must be chart-normalized (first coordinate 1)")
     block = _supplied_basis_det(line, basis)
-    if len(seg.members) != 2:
+    if len(seg) != 2:
         raise ValueError("a directed segment has exactly two endpoints")
     reps = {}
-    for name in seg.members:
+    for name in seg:
         coords = points[name].coords
         if coords[0] == 0:
             raise ChartError(f"endpoint {name!r} is at infinity in the chart x_0 != 0")

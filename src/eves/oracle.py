@@ -204,7 +204,7 @@ def _span_groups(cfg: Configuration, reps: dict[str, tuple[Fraction, ...]]) -> t
         for t in color:
             if t in tuple_group:
                 continue
-            vectors = [reps[name] for name in t.members]
+            vectors = [reps[name] for name in t]
             for idx, basis in enumerate(group_bases):
                 if _same_span(basis, vectors) and _same_span(vectors, basis):
                     tuple_group[t] = idx
@@ -236,7 +236,7 @@ def _recount(cfg: Configuration, parts: tuple[int, ...], tuple_group: dict[RTupl
     spans: dict[int, list[int]] = {}
     for c, color in enumerate(colors):
         for t in color:
-            for name in t.members:
+            for name in t:
                 points[name][c] += 1
             spans.setdefault(tuple_group[t], [0] * len(colors))[c] += 1
     lengths = tuple(len(color) for color in colors)
@@ -271,8 +271,10 @@ def brute_invariant(cfg: Configuration) -> InvariantValue:
     Representatives are scaled so the last nonzero coordinate is 1; each
     span's basis is the representative tuple of its first occurrence (colors
     scanned in order); coordinates come from Cramer solves and determinants
-    from cofactor expansion.  Span grouping uses minor-vanishing rank tests
-    rather than echelon forms, and admissibility is ``brute_degrees``' recount.
+    from cofactor expansion.  Each distinct tuple is bracketed once, and its
+    bracket is multiplied in once per occurrence in the list view.  Span
+    grouping uses minor-vanishing rank tests rather than echelon forms, and
+    admissibility is ``brute_degrees``' recount.
     """
     reps = {name: _last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}
     group_bases, tuple_group = _span_groups(cfg, reps)
@@ -280,13 +282,16 @@ def brute_invariant(cfg: Configuration) -> InvariantValue:
         raise NotHConfigurationError("recounted degrees are not proportional to the weight")
 
     pivots = [_pivot_columns(basis) for basis in group_bases]
+    brackets: dict[RTuple, Fraction] = {}
     coords_out = []
     for color in cfg.colors:
         prod_c = Fraction(1)
         for t in color:
-            idx = tuple_group[t]
-            basis, cols = group_bases[idx], pivots[idx]
-            rows = [_cramer_coords(basis, cols, reps[name]) for name in t.members]
-            prod_c *= _cofactor_det(rows)
+            value = brackets.get(t)
+            if value is None:
+                idx = tuple_group[t]
+                basis, cols = group_bases[idx], pivots[idx]
+                value = brackets[t] = _cofactor_det([_cramer_coords(basis, cols, reps[name]) for name in t])
+            prod_c *= value
         coords_out.append(prod_c)
     return InvariantValue(WeightedPoint(tuple(coords_out), cfg.weight))

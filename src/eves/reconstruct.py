@@ -66,7 +66,7 @@ def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
         raise ValueError(f"color pair ({i},{j}) out of range for {n + 1} colors")
     parts = (cfg.weight.parts[i], cfg.weight.parts[j])
     counts = (cfg.counts[i], cfg.counts[j])
-    used = {name for color in counts for t in color for name in t.members}
+    used = {name for color in counts for t in color for name in t}
     points = {name: cfg.points[name] for name in sorted(used)}
     spans = {t: cfg.spans[t] for color in counts for t in color}
     return Configuration(

@@ -83,6 +83,33 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("override", [(), ("--weight", "2,2")])
+    def test_ell_after_a_degree_failure(self, capsys, tmp_path, override):
+        """Two tuples per color over parts (2,2) give ell 1, also when a point
+        degree (1,1) then fails, with or without the weight restated."""
+        doc = {
+            "field": "rational",
+            "weight": [2, 2],
+            "arity": 2,
+            "dim": 1,
+            "points": {"a": ["1", "0"], "b": ["1", "1"], "c": ["1", "2"], "d": ["0", "1"]},
+            "colors": [[["a", "b"], ["c", "d"]], [["a", "c"], ["b", "d"]]],
+        }
+        path = tmp_path / "unit_degrees.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "validate", str(path), *override)
+        assert code == 1
+        assert out.startswith("h_valid: false\nell: 1\n")
+        assert "failure: point 'a': degrees (1, 1) not proportional" in out
+
+    @pytest.mark.parametrize("weight, ell", [("4,4", "1"), ("1,3", "0")])
+    def test_ell_under_another_weight(self, capsys, fixtures_dir, weight, ell):
+        """ell is 0 only when the list lengths do not fit the weight."""
+        path = fixtures_dir / "octahedral_generic_S.json"
+        code, out, _ = run_cli(capsys, "validate", str(path), "--weight", weight)
+        assert code == 1
+        assert f"\nell: {ell}\n" in out
+
 
 class TestInvariant:
     def test_cross_ratio_output(self, capsys, fixtures_dir):

@@ -78,7 +78,7 @@ def eliminated_one_by_one(cfg):
     """Each distinct tuple's span and stored bracket, from an elimination of that tuple alone."""
     spans, brackets = {}, {}
     for t in cfg.spans:
-        rows = [linalg.clear_denominators(cfg.points[name].coords)[0] for name in t.members]
+        rows = [linalg.clear_denominators(cfg.points[name].coords)[0] for name in t]
         spans[t], minor = configuration._span(rows, {})
         brackets[t] = minor, math.prod(next(filter(None, row)) for row in rows)
     return spans, brackets
@@ -161,6 +161,38 @@ class TestBuild:
             [[("t3", "t0"), ("t2", "t1")], [("t2", "t0"), ("t3", "t1")]], pts,
         )
         assert cfg.colors[0] == (RTuple(("t2", "t1")), RTuple(("t3", "t0")))
+
+
+class TestTupleKeys:
+    """An r-tuple is the plain tuple of its member names."""
+
+    def test_rtuple_is_the_tuple_of_names(self):
+        assert RTuple(("a", "b")) == ("a", "b")
+        assert type(RTuple(("a", "b"))) is tuple
+
+    def test_keys_are_tuples_of_names(self, fixtures_dir):
+        cfgs = [load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")]
+        cfgs += [random_h_configuration(random.Random(seed)) for seed in range(5)]
+        for cfg in cfgs:
+            keys = [t for color in cfg.counts for t in color] + list(cfg.spans) + list(cfg.brackets)
+            assert all(type(t) is tuple and all(type(m) is str for m in t) for t in keys)
+
+    def test_lists_tuples_and_rtuples_key_one_entry(self):
+        pts = line_points(0, 1, 2)
+        forms = [list, tuple, RTuple]
+        colors = [[form(("t0", "t1")) for form in forms], [form(("t2", "t1")) for form in forms]]
+        cfg = build_configuration(Weight((3, 3)), 2, 1, colors, pts)
+        assert cfg.counts == ({("t0", "t1"): 3}, {("t2", "t1"): 3})
+        assert {span_of(form(("t0", "t1")), cfg) for form in forms} == {cfg.spans[("t0", "t1")]}
+
+    @pytest.mark.parametrize("member", [1, ["b"]], ids=["int", "list"])
+    def test_member_not_a_name_refused(self, member):
+        pts = {"a": (F(1), F(0)), "b": (F(0), F(1)), "1": (F(1), F(1))}
+        with pytest.raises(ConfigurationError, match="unknown point name"):
+            build_configuration(Weight((1, 1)), 2, 1, [[("a", member)], [("a", "b")]], pts)
+        cfg = build_configuration(Weight((1, 1)), 2, 1, [[("a", "b")], [("a", "b")]], pts)
+        with pytest.raises(ConfigurationError, match="unknown point name"):
+            span_of(("a", member), cfg)
 
 
 class TestSpans:

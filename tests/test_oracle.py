@@ -15,6 +15,7 @@ from eves import (
     validate_h,
     wps_equivalent,
 )
+from eves import oracle
 from eves.numtheory import CongruenceSystem, crt_solve
 from eves.oracle import (
     SearchBound,
@@ -25,6 +26,7 @@ from eves.oracle import (
     ff_enumerate_classes,
     report_matches_recount,
 )
+from eves.reconstruct import restrict_pair, unit_weight_expansion
 from conftest import random_h_configuration, random_simplex_configuration
 
 
@@ -158,6 +160,22 @@ class TestBruteInvariant:
         cfg = build_configuration(Weight((1, 1)), 2, 1, [[("t0", "t1")], [("t0", "t2")]], pts)
         with pytest.raises(NotHConfigurationError):
             brute_invariant(cfg)
+
+    def test_each_distinct_tuple_bracketed_once(self, fixtures_dir, monkeypatch):
+        """One Cramer solve per member of each distinct tuple, however often
+        the tuple occurs in the list view; the value is unchanged."""
+        parent = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        expansion = unit_weight_expansion(restrict_pair(parent, 0, 2))
+        calls = []
+        solve = oracle._cramer_coords
+        monkeypatch.setattr(oracle, "_cramer_coords", lambda *args: calls.append(args) or solve(*args))
+        for cfg in (parent, expansion):
+            distinct = {t for color in cfg.colors for t in color}
+            assert sum(map(len, cfg.colors)) > len(distinct)
+            calls.clear()
+            value = brute_invariant(cfg)
+            assert len(calls) == cfg.arity * len(distinct)
+            assert wps_equivalent(value.point, eves_invariant(cfg).point)
 
 
 class TestBruteDegrees:

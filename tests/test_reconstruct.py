@@ -116,7 +116,7 @@ class TestDerivedConfigurations:
         for cfg in derived_corpus():
             for i, j in index_pairs(cfg.weight):
                 colors = [cfg.colors[i], cfg.colors[j]]
-                used = sorted({name for color in colors for t in color for name in t.members})
+                used = sorted({name for color in colors for t in color for name in t})
                 built = build_configuration(
                     Weight((cfg.weight.parts[i], cfg.weight.parts[j])), cfg.arity, cfg.dim,
                     colors, {name: cfg.points[name] for name in used},
@@ -183,7 +183,7 @@ def naive_degrees(cfg):
     spans = {}
     for c, color in enumerate(cfg.colors):
         for t in color:
-            for name in t.members:
+            for name in t:
                 points[name][c] += 1
             spans.setdefault(cfg.spans[t], [0] * n)[c] += 1
     ell = len(cfg.colors[0]) // parts[0]
