@@ -109,9 +109,6 @@ class Subspace:
         d, x = self.scaled[0], [u[c] for c in self.pivots]
         return all(d * u[c] == sum(map(mul, x, column)) for c, column in self._free_columns)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return self.contains_integer(linalg.clear_denominators(linalg.vec(v))[0])
-
     def minor(self, rows: Sequence[Sequence[int]]) -> int:
         """The determinant in R of integer rows of the span: their minor at R's pivot columns."""
         return linalg.integer_det([[row[c] for c in self.pivots] for row in rows])
@@ -161,7 +158,12 @@ class Configuration:
 
 
 def _as_rtuple(t) -> RTuple:
-    return t if type(t) is tuple else tuple(t)
+    """The r-tuple of a sequence of point names; a ``str`` is refused, not read as its letters."""
+    if type(t) is tuple:
+        return t
+    if isinstance(t, str):
+        raise ConfigurationError("an r-tuple is a sequence of point names, not a str")
+    return tuple(t)
 
 
 def _span(rows: Sequence[Sequence[int]], interned: dict) -> tuple[Subspace, int] | None:
@@ -244,7 +246,12 @@ def build_configuration(
     interned: dict[tuple, Subspace] = {}
     proven: dict[str, set[Subspace]] = {name: set() for name in table}  # spans each point was shown to lie in
     for c, color in enumerate(colors):
-        tuples = [_as_rtuple(t) for t in color]
+        tuples: list[RTuple] = []
+        for k, t in enumerate(color):
+            try:
+                tuples.append(_as_rtuple(t))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"colors[{c}][{k}]: {exc}") from None
         p_c = weight.parts[c]
         if len(tuples) % p_c != 0:
             raise ConfigurationError(
@@ -294,8 +301,9 @@ def build_configuration(
 def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
     """Canonical echelon basis of the span of the tuple's representative vectors.
 
-    The tuple is any sequence of point names; a member that is not the name
-    of a point, a non-``str`` included, is refused as unknown."""
+    The tuple is any sequence of point names other than a ``str``; a member
+    that is not the name of a point, a non-``str`` included, is refused as
+    unknown."""
     t = _as_rtuple(t)
     for name in t:  # before the lookup, which hashes the names
         if not isinstance(name, str) or name not in cfg.points:
@@ -309,16 +317,23 @@ def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
     return found[0]
 
 
+def _color(cfg: Configuration, c: int) -> dict[RTuple, int]:
+    """The counts of color c; an index that is not an ``int`` in range, a ``bool`` included, is refused."""
+    if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < len(cfg.counts):
+        raise ConfigurationError(f"color index {c!r} is not in range({len(cfg.counts)})")
+    return cfg.counts[c]
+
+
 def point_degree(cfg: Configuration, name: str, c: int) -> int:
     """How many color-c tuples contain the named point (with multiplicity)."""
-    if name not in cfg.points:
+    if not isinstance(name, str) or name not in cfg.points:
         raise ConfigurationError(f"unknown point name {name!r}")
-    return sum(k for t, k in cfg.counts[c].items() if name in t)
+    return sum(k for t, k in _color(cfg, c).items() if name in t)
 
 
 def subspace_degree(cfg: Configuration, subspace: Subspace, c: int) -> int:
     """How many color-c tuples span the given subspace (with multiplicity)."""
-    return sum(k for t, k in cfg.counts[c].items() if cfg.spans[t] == subspace)
+    return sum(k for t, k in _color(cfg, c).items() if cfg.spans[t] == subspace)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from .configuration import Configuration, DegreeReport, RTuple
@@ -35,14 +36,9 @@ class SearchBound:
             raise ValueError("all bounds must be >= 1")
 
 
-_CANDIDATE_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@cache
 def _candidates(bound: int) -> tuple[tuple[int, int], ...]:
     """Coprime (numerator, denominator) pairs up to the bound, by increasing height."""
-    cached = _CANDIDATE_CACHE.get(bound)
-    if cached is not None:
-        return cached
     out: list[tuple[int, int]] = []
     for m in range(1, bound + 1):
         for k in range(1, m + 1):
@@ -50,9 +46,7 @@ def _candidates(bound: int) -> tuple[tuple[int, int], ...]:
                 out.append((k, m))
                 if k != m:
                     out.append((m, k))
-    result = tuple(out)
-    _CANDIDATE_CACHE[bound] = result
-    return result
+    return tuple(out)
 
 
 def bounded_lambda_search(z: WeightedPoint, w: WeightedPoint, bound: SearchBound | int) -> bool:

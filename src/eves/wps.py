@@ -282,7 +282,7 @@ def _int_text(n: int) -> str:
     return _int_text(high) + _int_text(low).zfill(half)
 
 
-def parse_weight(text: str, field: FieldKind = FieldKind.REAL_LIKE) -> Weight:
+def parse_weight(text: str) -> Weight:
     """Parse a comma-separated weight such as '2,2,4'.
 
     Text longer than ``MAX_RATIONAL_CHARS`` is rejected before any parsing.
@@ -294,4 +294,4 @@ def parse_weight(text: str, field: FieldKind = FieldKind.REAL_LIKE) -> Weight:
         parts = tuple(int(x) for x in body.split(","))
     except ValueError:
         raise ValueError(f"invalid weight {_shown(body)}: parts must be integers") from None
-    return Weight(parts, field)
+    return Weight(parts)

@@ -357,6 +357,61 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestOneParser:
+    """A process builds one parser, and --oracle compares the E_p that was printed."""
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch, fixtures_dir):
+        def build():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        code, out, _ = run_cli(capsys, "invariant", str(fixtures_dir / "cross_ratio_quadruple.json"))
+        assert code == 0
+        assert out == "E_p = [3 : 4]_(1,1)\n"
+
+    @pytest.mark.parametrize("command", ["invariant", "reconstruct"])
+    def test_oracle_evaluates_once(self, capsys, monkeypatch, fixtures_dir, command):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return eves_invariant(cfg)
+
+        monkeypatch.setattr(cli, "eves_invariant", counted)
+        code, _, err = run_cli(capsys, command, str(fixtures_dir / "segment_pair_opposed.json"), "--oracle")
+        assert code == 0, err
+        assert len(calls) == 1
+
+    def test_repeated_calls_agree(self, capsys, fixtures_dir):
+        cfg = str(fixtures_dir / "midpoint_triangle_aligned.json")
+        sequence = [
+            ("validate", cfg, "--weight", "2,2,4", "--oracle"),
+            ("invariant", cfg, "--oracle"),
+            ("reconstruct", cfg),
+            ("compare", str(fixtures_dir / "segment_pair_aligned.json"), str(fixtures_dir / "segment_pair_opposed.json")),
+            ("transform", str(fixtures_dir / "projection_source.json"), "--matrix", str(fixtures_dir / "projection_matrix.json"), "--oracle"),
+            ("wps-equiv", "--weight", "1,1", "--a", "1,1", "--b", "-1,-1", "--oracle"),
+            ("wps-equiv", "--weight", "1,3", "--a", "-1,2", "--b", "1,-2"),
+            ("witness", "--weight", "2,2"),
+            ("invariant",),  # a usage error: the input is missing
+            ("validate", cfg, "--no-such-option"),
+            ("--help",),
+            ("wps-equiv", "--help"),
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [outcome(argv) for argv in sequence]
+        assert [code for code, _, _ in first] == [0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0]
+        assert [outcome(argv) for argv in sequence] == first
+
+
 def long_int(text):
     """An integer from decimal text of any length, read in chunks below the
     interpreter's digit limit for ``int(str)``."""

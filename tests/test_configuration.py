@@ -35,6 +35,12 @@ def line_points(*ts):
     return {f"t{k}": (F(1), F(t)) for k, t in enumerate(ts)}
 
 
+def unit_pair():
+    """Two points a, b of the line, with the one tuple (a, b) in each of two colors."""
+    pts = {"a": (F(1), F(0)), "b": (F(0), F(1))}
+    return build_configuration(Weight((1, 1)), 2, 1, [[("a", "b")], [("a", "b")]], pts)
+
+
 def lines_configuration(rng, n_lines, per_line):
     """An admissible weight-(1,1) configuration of segments on lines in P^3.
 
@@ -194,6 +200,15 @@ class TestTupleKeys:
         with pytest.raises(ConfigurationError, match="unknown point name"):
             span_of(("a", member), cfg)
 
+    def test_str_is_not_a_tuple_in_build(self):
+        pts = {"a": (F(1), F(0)), "b": (F(0), F(1))}
+        with pytest.raises(ConfigurationError, match=r"^colors\[1\]\[0\]: .*not a str"):
+            build_configuration(Weight((1, 1)), 2, 1, [[("a", "b")], ["ab"]], pts)
+
+    def test_str_is_not_a_tuple_in_span_of(self):
+        with pytest.raises(ConfigurationError, match="not a str"):
+            span_of("ab", unit_pair())
+
 
 class TestSpans:
     def test_whole_line(self):
@@ -301,6 +316,22 @@ class TestDegrees:
         other = Subspace(((F(1), F(0), F(0)), (F(0), F(1), F(0))))
         six = load_configuration(fixtures_dir / "area_ratio_six_points.json")
         assert subspace_degree(six, other, 0) == 0
+
+    @pytest.mark.parametrize("name", [["a"], ("a",), 1, None], ids=["list", "tuple", "int", "none"])
+    def test_name_not_a_str_refused(self, name):
+        cfg = unit_pair()
+        with pytest.raises(ConfigurationError, match="unknown point name"):
+            point_degree(cfg, name, 0)
+
+    @pytest.mark.parametrize("c", [2, 5, -1, -3, True, False, 0.0, "0", None])
+    def test_color_index_out_of_range_refused(self, c):
+        cfg = unit_pair()
+        span = cfg.spans[("a", "b")]
+        with pytest.raises(ConfigurationError, match="color index"):
+            point_degree(cfg, "a", c)
+        with pytest.raises(ConfigurationError, match="color index"):
+            subspace_degree(cfg, span, c)
+        assert point_degree(cfg, "a", 1) == subspace_degree(cfg, span, 1) == 1
 
     def test_degrees_independent_of_input_order(self):
         pts = line_points(0, 1, 2, 3)

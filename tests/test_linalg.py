@@ -120,7 +120,6 @@ def test_membership_agrees_with_minors(rows, values, combine):
         v = tuple(values[: len(rows[0])])
     expected = _in_span(list(reduced), v)
     span = Subspace(reduced)
-    assert span.contains(v) == expected
     u = linalg.clear_denominators(v)[0]
     assert span.contains_integer(u) == span.contains_integer([-3 * x for x in u]) == expected
 
