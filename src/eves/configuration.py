@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -205,11 +205,12 @@ def build_configuration(
     rows' minor at the span's pivots over the product of the members' leads.
 
     Each elimination proves its members lie in the span it finds, and that
-    is recorded per point.  A later tuple whose members all lie in one
-    recorded span S needs no elimination: its rows' minor at S's pivot
-    columns is the one an elimination would return, and it is zero exactly
-    when the rows are dependent.  Only recorded facts are looked up, so a
-    tuple sharing no span with earlier ones costs one elimination, as before.
+    is recorded per point, with the point's cleared row at the span's pivot
+    columns.  A later tuple whose members all lie in one recorded span S
+    needs no elimination: the determinant of their recorded rows is the
+    minor an elimination would return, and it is zero exactly when the rows
+    are dependent.  Only recorded facts are looked up, so a tuple sharing no
+    span with earlier ones costs one elimination, as before.
     """
     if arity < 1:
         raise ConfigurationError("arity must be >= 1")
@@ -244,7 +245,10 @@ def build_configuration(
     spans: dict[RTuple, Subspace] = {}
     brackets: dict[RTuple, tuple[int, int]] = {}
     interned: dict[tuple, Subspace] = {}
-    proven: dict[str, set[Subspace]] = {name: set() for name in table}  # spans each point was shown to lie in
+    # facts[name][id(S)]: the point's cleared row at the pivot columns of a span S an
+    # elimination placed it in.  Spans are interned, so id(S) names S and hashes in C.
+    facts: dict[str, dict[int, list[int]]] = {name: {} for name in table}
+    proven: dict[int, Subspace] = {}
     for c, color in enumerate(colors):
         tuples: list[RTuple] = []
         for k, t in enumerate(color):
@@ -275,18 +279,23 @@ def build_configuration(
                 if not isinstance(name, str) or name not in table:
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
-                rows = [cleared[name] for name in t]
-                shared = set.intersection(*[proven[name] for name in t])
+                known = [facts[name] for name in t]
+                shared = set(known[0]).intersection(*known[1:])
                 if shared:
-                    span = next(iter(shared))
-                    minor = span.minor(rows)
+                    key = next(iter(shared))
+                    span = proven[key]
+                    # copies: Bareiss overwrites its rows from r = 3 on
+                    minor = linalg.integer_det([fact[key][:] for fact in known])
                 else:
-                    span, minor = _span(rows, interned) or (None, 0)
+                    span, minor = _span([cleared[name] for name in t], interned) or (None, 0)
+                    if minor:
+                        key = id(span)
+                        proven[key] = span
+                        for name, fact in zip(t, known):
+                            row = cleared[name]
+                            fact[key] = [row[p] for p in span.pivots]
                 if not minor:
                     raise ConfigurationError(f"colors[{c}][{k}]: dependent r-tuple {t}")
-                if not shared:
-                    for name in t:
-                        proven[name].add(span)
                 spans[t] = span
                 lead_product = 1
                 for name in t:
@@ -387,29 +396,28 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
         ell = 0
 
     point_counts: dict[str, list[int]] = {name: [0] * len(sizes) for name in cfg.points}
-    span_counts: Counter[tuple[Subspace, int]] = Counter()
+    span_counts: dict[Subspace, list[int]] = {}
     for c, color in enumerate(cfg.counts):
         for t, k in color.items():
             for name in t:
                 point_counts[name][c] += k
-            span_counts[(cfg.spans[t], c)] += k
+            span_counts.setdefault(cfg.spans[t], [0] * len(sizes))[c] += k
 
     subspaces = cfg.subspaces()
     point_degrees = {name: tuple(v) for name, v in point_counts.items()}
-    subspace_degrees = {
-        s: tuple(span_counts[(s, c)] for c in range(len(sizes))) for s in subspaces
-    }
+    subspace_degrees = {s: tuple(span_counts[s]) for s in subspaces}
 
     point_quotients: dict[str, int | None] = {}
     subspace_multiplicities: dict[Subspace, int | None] = {}
     if failure is None:
+        ratio = cache(lambda degrees: _proportional(degrees, parts))  # points and spans share few degree vectors
         for name in sorted(point_degrees):
-            q = _proportional(point_degrees[name], parts)
+            q = ratio(point_degrees[name])
             point_quotients[name] = q
             if q is None and failure is None:
                 failure = f"point {name!r}: degrees {point_degrees[name]} not proportional to weight {w}"
         for s in subspaces:
-            m = _proportional(subspace_degrees[s], parts)
+            m = ratio(subspace_degrees[s])
             subspace_multiplicities[s] = m
             if m is None and failure is None:
                 failure = f"{s}: degrees {subspace_degrees[s]} not proportional to weight {w}"
@@ -464,16 +472,19 @@ def _decode(text: str, source: str, object_pairs_hook=None):
         raise ConfigurationError(f"{source}: JSON nests too deeply") from None
 
 
-def _rational(value, where: str) -> Fraction:
-    """A JSON entry read as an exact rational: a rational string or an integer."""
+def _rational(value) -> Fraction:
+    """A JSON entry read as an exact rational: a rational string or an integer.
+
+    A refused entry raises ``ConfigurationError`` with a message that the
+    caller prefixes with the entry's position."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise ConfigurationError(f"{where}: entries must be exact rationals, got {value!r}")
+        raise ConfigurationError(f"entries must be exact rationals, got {value!r}")
     if isinstance(value, (int, str)):
         try:
             return parse_rational(value)
         except ValueError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from None
-    raise ConfigurationError(f"{where}: entries must be rational strings or integers")
+            raise ConfigurationError(str(exc)) from None
+    raise ConfigurationError("entries must be rational strings or integers")
 
 
 def parse_configuration(text: str, source: str = "<string>") -> Configuration:
@@ -509,11 +520,22 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         raise fail(f"weight: {exc}") from None
 
     points: dict[str, ProjPoint] = {}
+    texts: dict[str, Fraction] = {}  # each distinct coordinate text, read once
     for name, coords in doc["points"].items():
         if not isinstance(coords, list):
             raise fail(f"points[{name!r}]: must be a list of rationals")
+        values = []
+        for k, v in enumerate(coords):
+            x = texts.get(v) if type(v) is str else None
+            if x is None:
+                try:
+                    x = _rational(v)
+                except ConfigurationError as exc:
+                    raise fail(f"points[{name!r}][{k}]: {exc}") from None
+                if type(v) is str:
+                    texts[v] = x
+            values.append(x)
         try:
-            values = [_rational(v, f"points[{name!r}][{k}]") for k, v in enumerate(coords)]
             points[name] = ProjPoint(name, tuple(values))
         except ConfigurationError as exc:
             raise fail(str(exc)) from None
@@ -556,10 +578,14 @@ def _load_matrix(path) -> Matrix:
     doc = _decode(_read_input(path), str(path))
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise ConfigurationError(f"{path}: matrix must be a non-empty array of rows")
-    rows = tuple(
-        tuple(_rational(value, f"{path}: row {i} column {j}") for j, value in enumerate(row))
-        for i, row in enumerate(doc)
-    )
+
+    def entry(value, i: int, j: int) -> Fraction:
+        try:
+            return _rational(value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: row {i} column {j}: {exc}") from None
+
+    rows = tuple(tuple(entry(value, i, j) for j, value in enumerate(row)) for i, row in enumerate(doc))
     if any(len(r) != len(rows[0]) for r in rows):
         raise ConfigurationError(f"{path}: matrix rows have unequal lengths")
     return rows

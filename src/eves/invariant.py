@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -251,8 +251,9 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
         if not any(w):
             raise MorphismError(f"point {name!r} maps to the zero vector")
         image_vectors[name] = tuple(Fraction(x, e * d) for x, (_, e) in zip(w, cleared))
-        # the echelon row of w alone, primitive with a positive lead, keys its projective point
-        key = tuple(linalg.integer_echelon_minor([w])[0][0])
+        # w divided by its gcd, signed so that its lead is positive, keys its projective point
+        g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
+        key = tuple(x // g for x in w)
         groups.setdefault(key, []).append(name)
 
     rename: dict[str, str] = {}

@@ -124,16 +124,20 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def integer_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+    """Determinant of a square integer matrix: in closed form up to n = 2,
+    by Bareiss elimination above.
 
-    The list is overwritten.  Every division is exact: after step k each
+    The list may be overwritten.  Every division is exact: after step k each
     remaining entry is a (k+1)-order minor of the input.
     """
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n < 2:
+        return m[0][0] if n else 1
     sign = 1
     prev = 1
     for k in range(n - 1):

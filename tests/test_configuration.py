@@ -28,7 +28,7 @@ from eves import (
 from eves import configuration, linalg
 from eves.invariant import LinearMorphism, apply_morphism, eves_invariant
 from eves.reconstruct import restrict_pair
-from conftest import random_h_configuration, random_invertible_matrix
+from conftest import random_h_configuration, random_invertible_matrix, random_simplex_configuration
 
 
 def line_points(*ts):
@@ -426,7 +426,11 @@ class TestProvenSpans:
 
     def test_spans_and_brackets_equal_one_elimination_per_tuple(self):
         rng = random.Random(4)
-        for cfg in [lines_configuration(rng, 5, 6) for _ in range(4)] + [random_h_configuration(rng) for _ in range(20)]:
+        families = [lines_configuration(rng, 5, 6) for _ in range(4)] + [random_h_configuration(rng) for _ in range(20)]
+        # arity 3 and 4, one span: each recorded pivot row feeds many tuples'
+        # determinants, so a row that one of them overwrote would show here
+        families += [random_simplex_configuration(rng, dim=dim) for dim in (2, 3) for _ in range(10)]
+        for cfg in families:
             spans, brackets = eliminated_one_by_one(cfg)
             assert {t: s.basis for t, s in cfg.spans.items()} == {t: s.basis for t, s in spans.items()}
             assert cfg.brackets == brackets
@@ -456,6 +460,50 @@ class TestProvenSpans:
             assert cfg.brackets == expected_brackets
             expected = replace(cfg, spans=expected_spans, brackets=expected_brackets)
             assert eves_invariant(cfg).point == eves_invariant(expected).point
+
+
+class TestCoordinateTexts:
+    """Each distinct coordinate text is read once per file; every entry keeps its checks and its message."""
+
+    @staticmethod
+    def parse(points):
+        pair = list(points)[:2]
+        doc = {"field": "rational", "weight": [1, 1], "arity": 2, "dim": 2, "points": points, "colors": [[pair], [pair]]}
+        return parse_configuration(json.dumps(doc))
+
+    def test_equal_texts_give_equal_coordinates(self):
+        cfg = self.parse({"a": ["1/3", "-2", "0"], "b": ["-2", "1/3", "2/6"], "c": ["0", "0", "1/3"]})
+        assert cfg.points["a"].coords == (F(1, 3), F(-2), F(0))
+        assert cfg.points["b"].coords == (F(-2), F(1, 3), F(1, 3))
+        assert cfg.points["c"].coords == (F(0), F(0), F(1, 3))
+
+    @pytest.mark.parametrize("points", [
+        {"A": ["1", "1/0", "2"]},  # the first text read
+        {"B": ["1", "2", "3"], "A": ["2", "1/0", "1"]},  # after texts read before
+        {"B": ["1", "2", "3"], "A": ["2", "1/0", "1/0"], "C": ["1/0", "1", "1"]},  # repeated after it
+    ])
+    def test_bad_text_keeps_its_position(self, points):
+        message = "<string>: points['A'][1]: invalid rational '1/0': zero denominator"
+        for _ in range(2):  # a second read of the same file says the same
+            with pytest.raises(ConfigurationError) as caught:
+                self.parse(points)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("entry, problem", [
+        (True, "entries must be exact rationals, got True"),
+        (1.0, "entries must be exact rationals, got 1.0"),
+        (None, "entries must be rational strings or integers"),
+    ])
+    def test_non_text_entries_are_each_checked(self, entry, problem):
+        # the text "1" and the integer 1 are read before an entry equal to them as a key
+        with pytest.raises(ConfigurationError) as caught:
+            self.parse({"a": ["1", 1, "2"], "b": ["2", entry, "1"]})
+        assert str(caught.value) == f"<string>: points['b'][1]: {problem}"
+
+    def test_integer_entries_are_read(self):
+        cfg = self.parse({"a": ["1", 1, 2], "b": [2, "1", "2/3"]})
+        assert cfg.points["a"].coords == (F(1), F(1), F(2))
+        assert cfg.points["b"].coords == (F(2), F(1), F(2, 3))
 
 
 class TestFileFormat:

@@ -7,15 +7,22 @@ from the repository root with relative paths.  ``tests/golden_cli.json`` holds
 the expected results; after a deliberate change of output, rewrite it with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
+
+At the benchmark's scale, ``BENCH_SCALE_DIGESTS`` pins the sha256 of the
+standard output of ``validate`` and ``invariant`` on a generated input of 1280
+tuples; a deliberate change of that output updates the two digests.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +69,59 @@ def test_cli_output_matches_golden():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for want, got in zip(expected, run_calls([r["argv"] for r in expected])):
         assert got == want, " ".join(want["argv"])
+
+
+def lines_document(rng: random.Random, n_lines: int, per_line: int) -> dict:
+    """``n_lines`` random lines in P^3 with ``per_line`` points each, weight (2,2,4).
+
+    Each point is a u + b v for random integer rows u, v of its line, divided
+    by a random 1 to 3, so coordinate texts are integers and fractions, many
+    of them repeated.  Color c holds p_c random matchings of each line's
+    points, so every point and every line has degrees proportional to the weight.
+    """
+    parts = (2, 2, 4)
+    points, colors = {}, [[] for _ in parts]
+    for line in range(n_lines):
+        while True:
+            u, v = ([rng.randint(-9, 9) for _ in range(4)] for _ in range(2))
+            if any(u[i] * v[j] != u[j] * v[i] for i in range(4) for j in range(i + 1, 4)):
+                break
+        names, seen = [], set()  # seen: the ratios a : b of the line's points so far
+        while len(names) < per_line:
+            a, b = rng.randint(-7, 7), rng.randint(-7, 7)
+            ratio = (1, 0) if b == 0 else (Fraction(a, b), 1)
+            if (a, b) == (0, 0) or ratio in seen:
+                continue
+            seen.add(ratio)
+            scale = rng.randint(1, 3)
+            names.append(f"l{line}p{len(names)}")
+            points[names[-1]] = [str(Fraction(a * x + b * y, scale)) for x, y in zip(u, v)]
+        for c, p in enumerate(parts):
+            for _ in range(p):
+                perm = rng.sample(names, per_line)
+                colors[c] += [perm[e : e + 2] for e in range(0, per_line, 2)]
+    return {"field": "rational", "weight": list(parts), "arity": 2, "dim": 3, "points": points, "colors": colors}
+
+
+# sha256 of the stdout of validate and invariant on lines_document(random.Random(15), 40, 8)
+BENCH_SCALE_DIGESTS = {
+    "validate": "f71dd44f085918f5d66022bbb140b54ed2dc427ade41fabf7ef6916b17d6f291",
+    "invariant": "96a0e3eb7b792e5f9e6a44767ad52b14e6c75f53cc6bd10e9ae873f369cdd6e9",
+}
+
+
+def test_output_at_bench_scale_is_unchanged(tmp_path):
+    """1280 tuples on 320 points: the read path's sharing of work across
+    tuples, points and coordinate texts leaves every byte of output as it was."""
+    from eves.cli import main
+
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(lines_document(random.Random(15), 40, 8)), encoding="utf-8")
+    for command, digest in BENCH_SCALE_DIGESTS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, str(path)]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
 
 
 if __name__ == "__main__":

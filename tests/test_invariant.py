@@ -474,6 +474,21 @@ class TestMorphisms:
         assert image.points["a+a2"].coords == linalg.mat_vec(m.matrix, pts["a"])
         self.assert_images_exact(cfg, m, image)
 
+    def test_points_with_proportional_images_merge(self):
+        # with the kernel (1, 1, 1) of the matrix above, a2 maps to -3 times a's
+        # image and b2 to 2 times b's: unequal integer images of one projective point
+        m = LinearMorphism(((F(1, 2), F(-3, 2), F(1)), (F(2, 3), F(1, 3), F(-1)), (F(1, 5), F(0), F(-1, 5))))
+        pts = {"a": (F(1), F(1, 2), F(0)), "a2": (F(-3, 2), F(0), F(3, 2)),
+               "b": (F(0), F(1, 3), F(1)), "b2": (F(1), F(5, 3), F(3)), "c": (F(2, 7), F(-1), F(1, 9))}
+        colors = [[("a", "b"), ("a2", "c"), ("b2", "a")], [("a", "c"), ("a2", "b2"), ("b", "c")]]
+        cfg = build_configuration(Weight((1, 1)), 2, 2, colors, pts)
+        assert linalg.mat_vec(m.matrix, pts["a2"]) == tuple(-3 * x for x in linalg.mat_vec(m.matrix, pts["a"]))
+        assert linalg.mat_vec(m.matrix, pts["b2"]) == tuple(2 * x for x in linalg.mat_vec(m.matrix, pts["b"]))
+        image = apply_morphism(cfg, m)
+        assert sorted(image.points) == ["a+a2", "b+b2", "c"]
+        assert image.colors[1] == (("a+a2", "b+b2"), ("a+a2", "c"), ("b+b2", "c"))
+        self.assert_images_exact(cfg, m, image)
+
     def test_rank_deficiency_names_subspace(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
         squash = LinearMorphism(((F(1), F(0)), (F(0), F(0))))

@@ -146,6 +146,23 @@ def test_det_agrees_with_cofactor_expansion(rows):
     assert linalg.det(rows) == _cofactor_det([list(row) for row in rows])
 
 
+integers = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-BIG, BIG))
+
+
+@given(st.integers(0, 4), st.data())
+def test_integer_det_agrees_with_det_in_closed_form_and_by_elimination(n, data):
+    rows = [[data.draw(integers) for _ in range(n)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):  # make the last row depend on the others
+        coeffs = [data.draw(integers) for _ in range(n - 1)]
+        rows[-1] = [sum(a * row[c] for a, row in zip(coeffs, rows)) for c in range(n)]
+    expected = _cofactor_det(rows) if n else 1
+    assert linalg.integer_det([row[:] for row in rows]) == linalg.det(rows) == expected
+    height = max(n, 1)
+    width = data.draw(st.integers(0, 5).filter(lambda w: w != height))
+    with pytest.raises(ValueError, match="square"):
+        linalg.integer_det([[1] * width for _ in range(height)])
+
+
 @given(st.integers(1, 4), st.data())
 def test_bracket_in_non_echelon_scaled_basis_agrees_with_cramer(r, data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
