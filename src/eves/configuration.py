@@ -451,11 +451,14 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
 # ---------------------------------------------------------------------------
 
 
-def _reject_duplicate_keys(pairs):
+def _note_duplicate_keys(pairs, repeated: list):
+    """The object of ``pairs``.  Each key it repeats is appended to ``repeated``
+    with the object; the caller names it once the whole document is read, when
+    it is known whether the object is ``points``."""
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise ConfigurationError(f"duplicate point name {key!r}")
+            repeated.append((key, seen))
         seen[key] = value
     return seen
 
@@ -489,13 +492,16 @@ def _rational(value) -> Fraction:
 
 def parse_configuration(text: str, source: str = "<string>") -> Configuration:
     """Parse the JSON configuration format, with positional diagnostics."""
-    doc = _decode(text, source, _reject_duplicate_keys)
+    repeated = []
+    doc = _decode(text, source, lambda pairs: _note_duplicate_keys(pairs, repeated))
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{source}: top level must be an object")
 
     def fail(msg: str) -> ConfigurationError:
         return ConfigurationError(f"{source}: {msg}")
 
+    if repeated:  # the first repeated key; the keys of "points" are point names
+        raise fail(f"duplicate {'point name' if repeated[0][1] is doc.get('points') else 'key'} {repeated[0][0]!r}")
     for key in ("field", "weight", "arity", "dim", "points", "colors"):
         if key not in doc:
             raise fail(f"missing field {key!r}")

@@ -190,7 +190,12 @@ def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None)
     the choices, raised to the tuple's multiplicity in the color.
     """
     _require_h(cfg)
-    brackets = _chosen_brackets(cfg, choices)
+    return InvariantValue(WeightedPoint(_color_products(cfg, _chosen_brackets(cfg, choices)), cfg.weight))
+
+
+def _color_products(cfg: Configuration, brackets: Mapping[RTuple, tuple[int, int]]) -> tuple[Fraction, ...]:
+    """Each color's product of ``brackets``, a table of (numerator, denominator)
+    pairs: every distinct tuple's bracket raised to its multiplicity in the color."""
     coords = []
     for color in cfg.counts:
         num = den = 1  # the product's numerator and denominator; one Fraction per color
@@ -199,7 +204,7 @@ def eves_invariant_with_choices(cfg: Configuration, choices: BasisChoice | None)
             num *= n**k
             den *= d**k
         coords.append(Fraction(num, den))
-    return InvariantValue(WeightedPoint(tuple(coords), cfg.weight))
+    return tuple(coords)
 
 
 def eves_invariant(cfg: Configuration) -> InvariantValue:

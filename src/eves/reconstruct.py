@@ -6,28 +6,29 @@ ratios, one per color pair (i, j).  Each is the canonical axis projection
 E_p with ``product_map`` and can never distinguish more configurations than
 E_p does; over non-reconstructible weights it distinguishes strictly fewer.
 
-``check_reconstruction_identity`` is the independent check of that claim: it
-restricts the configuration to each pair (S_i, S_j), expands the pair to a
-weight (1,1) configuration by repeating each tuple of the lists lcm/p_i and
-lcm/p_j times, and compares the expansion's classical invariant with the
-projection.  The expansion holds counts, each multiplicity times lcm/p, so
-it is no larger than the pair.  The pair's admissibility and all of its
-brackets are computed again: each distinct tuple of the configuration is
-bracketed once through the public ``bracket``, on canonical representatives
-and with its membership check, and every pair expansion is evaluated on that
-table, not on the one stored when the configuration was built.  Its points,
-tuples and spans are the parent's own objects, since the parent already
-checked and reduced them.
+``check_reconstruction_identity`` is the independent check of that claim.
+The classical invariant of the pair (S_i, S_j), expanded to weight (1,1) by
+repeating each tuple of the lists lcm/p_i and lcm/p_j times, is
+[X_i^a : X_j^b], where X_c is the product of color c's brackets and (a, b)
+are the exponents of the projection.  So the check brackets each distinct
+tuple of the configuration once, through the public ``bracket``, on
+canonical representatives and with its membership check, rather than
+reading the table stored when the configuration was built.  It forms one
+product X_c per color from that table and checks one equation per pair
+against the projection.  Each pair's admissibility is still checked on its
+expansion, whose counts are each multiplicity times lcm/p, so it is no
+larger than the pair; its points, tuples and spans are the parent's own
+objects, since the parent already checked and reduced them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .configuration import Configuration, ConfigurationError
-from .invariant import bracket, canonical_point_reps, eves_invariant
-from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, wps_equivalent
+from .invariant import _color_products, _require_h, bracket, canonical_point_reps, eves_invariant
+from .wps import Weight, WeightedPoint, canonical_axis_projection, format_rational, index_pairs, product_map, wps_equivalent
 
 
 @dataclass(frozen=True)
@@ -109,18 +110,19 @@ def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bo
     axis projection of the weighted invariant ``full`` of ``cfg`` (it must,
     for admissible configurations).
 
-    Each distinct tuple is bracketed once, through ``bracket``, and the pair
-    expansions are evaluated on those brackets."""
+    Each distinct tuple is bracketed once, through ``bracket``, and each
+    color's product X_c of those brackets is formed once.  The expansion of
+    pair (i, j) is [X_i^a : X_j^b], with (a, b) the canonical axis projection
+    exponents, and X has no zero coordinate; so, with r_c = full_c / X_c, it
+    is the projection [full_i^a : full_j^b] in P(1,1) iff r_i^a == r_j^b != 0.
+    Each expansion must still pass the admissibility check."""
     reps = canonical_point_reps(cfg)
-    brackets = {}
-    for t, span in cfg.spans.items():
-        value = bracket(t, span, reps)
-        brackets[t] = value.numerator, value.denominator
-    checked = replace(cfg, brackets=brackets)
-    vector = projection_vector(full)
-    for (i, j), entry in zip(vector.pairs, vector.entries):
-        expansion = eves_invariant(unit_weight_expansion(restrict_pair(checked, i, j))).point
-        if not wps_equivalent(expansion, entry):
+    brackets = {t: bracket(t, span, reps).as_integer_ratio() for t, span in cfg.spans.items()}
+    ratios = [y / x for y, x in zip(full.coords, _color_products(cfg, brackets))]
+    for i, j in index_pairs(full.weight):
+        _require_h(unit_weight_expansion(restrict_pair(cfg, i, j)))
+        spec = canonical_axis_projection(full.weight, i, j)
+        if ratios[i] == 0 or ratios[i] ** spec.a != ratios[j] ** spec.b:
             return False
     return True
 

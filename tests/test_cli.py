@@ -16,8 +16,11 @@ from eves import (
     parse_configuration,
     wps_equivalent,
 )
+from eves import oracle
 from eves.configuration import MAX_INPUT_BYTES, MAX_TUPLES
-from conftest import CONFIG_FIXTURES
+from eves.invariant import InvariantValue
+from conftest import CONFIG_FIXTURES, FIXTURES
+from test_golden_cli import lines_document
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +80,25 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 2
         assert "dependent r-tuple" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"field": "rational", "weight": [1,1], "weight": [1,1], "arity": 2, "dim": 1, '
+             '"points": {"a": ["1","0"], "b": ["1","1"]}, "colors": [[["a","b"]],[["a","b"]]]}',
+             "duplicate key 'weight'"),
+            ('{"field": "rational", "weight": [1,1], "arity": 2, "dim": 1, '
+             '"points": {"a": ["1","0"], "a": ["1","1"]}, "colors": [[],[]]}',
+             "duplicate point name 'a'"),
+        ],
+        ids=["top-level", "points"],
+    )
+    def test_duplicate_key_exit_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
 
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "validate", "no_such_file.json")
@@ -169,6 +191,65 @@ class TestReconstruct:
             capsys, "reconstruct", str(fixtures_dir / "segment_pair_opposed.json"), "--oracle"
         )
         assert code == 0
+
+    def test_coprime_weight_near_one_hundred(self, capsys, tmp_path):
+        # 3 lines of 8 points at weight (101,103): 2448 tuples
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(lines_document(random.Random(5), 3, 8, (101, 103))))
+        code, out, err = run_cli(capsys, "reconstruct", str(path))
+        assert code == 0, err
+        assert out.endswith("\nprojection_identity: true\n")
+
+
+def brute_wrong_on(calls):
+    """``oracle.brute_invariant`` with the first coordinate doubled on the calls
+    numbered in ``calls``: no weighted scalar makes that value equivalent to
+    the true one, since it would have to be 1 on the other coordinates."""
+    real, seen = oracle.brute_invariant, []
+
+    def fake(cfg):
+        value = real(cfg).point
+        seen.append(cfg)
+        if len(seen) - 1 in calls:
+            value = WeightedPoint((2 * value.coords[0], *value.coords[1:]), value.weight)
+        return InvariantValue(value)
+
+    return fake
+
+
+MIDPOINT = str(FIXTURES / "midpoint_triangle_aligned.json")
+MISMATCHES = {
+    # id: (argv without --oracle, oracle function, its replacement, message)
+    "validate": (["validate", MIDPOINT], "report_matches_recount", lambda: lambda *args: False,
+                 "degree recount disagrees with the report"),
+    "invariant": (["invariant", MIDPOINT], "brute_invariant", lambda: brute_wrong_on({0}),
+                  "brute-force invariant differs"),
+    # the three pair expansions come first, then the whole configuration
+    "reconstruct-entry": (["reconstruct", MIDPOINT], "brute_invariant", lambda: brute_wrong_on({1}),
+                          "brute-force entry (0,2) differs"),
+    "reconstruct-invariant": (["reconstruct", MIDPOINT], "brute_invariant", lambda: brute_wrong_on({3}),
+                              "brute-force invariant differs"),
+    "compare": (["compare", MIDPOINT, MIDPOINT], "brute_invariant", lambda: brute_wrong_on({0}),
+                "brute-force equivalence verdict differs"),
+    "transform": (["transform", str(FIXTURES / "projection_source.json"), "--matrix",
+                   str(FIXTURES / "projection_matrix.json")], "brute_invariant", lambda: brute_wrong_on({0}),
+                  "brute-force invariant of the image differs"),
+    "wps-equiv": (["wps-equiv", "--weight", "2,1", "--a", "1,2", "--b", "4,4"], "bounded_lambda_search",
+                  lambda: lambda *args: False, "bounded scalar search verdict differs"),
+    "witness": (["witness", "--weight", "2,2"], "bounded_lambda_search", lambda: lambda *args: True,
+                "witness pair fails the brute-force checks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+def test_oracle_mismatch_exits_four(capsys, monkeypatch, case):
+    argv, name, replacement, message = MISMATCHES[case]
+    _, verdict, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(oracle, name, replacement())
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert code == cli.EXIT_ORACLE_MISMATCH == 4
+    assert err == f"oracle mismatch: {message}\n"
+    assert out == verdict
 
 
 @pytest.mark.parametrize("name", CONFIG_FIXTURES)
@@ -286,6 +367,20 @@ class TestTransform:
         )
         assert code == 2
         assert err == f"error: {path}: JSON nests too deeply\n"
+
+    def test_point_with_zero_image_exit_two(self, capsys, tmp_path):
+        # e, in no tuple, spans the kernel of the matrix; the tuples' line z = 0 does not hold it
+        doc = {
+            "field": "rational", "weight": [1, 1], "arity": 2, "dim": 2,
+            "points": {"p": [1, 0, 0], "q": [0, 1, 0], "r": [1, 1, 0], "s": [1, 2, 0], "e": [2, 6, 1]},
+            "colors": [[["p", "q"], ["r", "s"]], [["p", "r"], ["q", "s"]]],
+        }
+        path, matrix = tmp_path / "c.json", tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        matrix.write_text('[["1", "0", "-2"], ["0", "1", "-6"]]')
+        code, out, err = run_cli(capsys, "transform", str(path), "--matrix", str(matrix))
+        assert code == 2 and out == ""
+        assert err == "error: point 'e' maps to the zero vector\n"
 
     def test_rank_deficient_exit_two(self, capsys, tmp_path, fixtures_dir):
         path = tmp_path / "m.json"

@@ -528,6 +528,11 @@ class TestFileFormat:
         with pytest.raises(ConfigurationError, match="duplicate point name 'a'"):
             parse_configuration(text, source="dup.json")
 
+    def test_duplicate_key_outside_points_diagnosed(self):
+        text = '{"field": "rational", "weight": [1,1], "weight": [1,1], "arity": 2, "dim": 1, "points": {}, "colors": [[],[]]}'
+        with pytest.raises(ConfigurationError, match="^dup.json: duplicate key 'weight'$"):
+            parse_configuration(text, source="dup.json")
+
     def test_positional_diagnostics(self):
         text = '{"field": "rational", "weight": [1,1], "arity": 2, "dim": 1, "points": {"a": ["1","x"]}, "colors": [[],[]]}'
         with pytest.raises(ConfigurationError, match=r"bad.json: points\['a'\]\[1\]"):

@@ -71,15 +71,14 @@ def test_cli_output_matches_golden():
         assert got == want, " ".join(want["argv"])
 
 
-def lines_document(rng: random.Random, n_lines: int, per_line: int) -> dict:
-    """``n_lines`` random lines in P^3 with ``per_line`` points each, weight (2,2,4).
+def lines_document(rng: random.Random, n_lines: int, per_line: int, parts: tuple[int, ...] = (2, 2, 4)) -> dict:
+    """``n_lines`` random lines in P^3 with ``per_line`` points each, weight ``parts``.
 
     Each point is a u + b v for random integer rows u, v of its line, divided
     by a random 1 to 3, so coordinate texts are integers and fractions, many
     of them repeated.  Color c holds p_c random matchings of each line's
     points, so every point and every line has degrees proportional to the weight.
     """
-    parts = (2, 2, 4)
     points, colors = {}, [[] for _ in parts]
     for line in range(n_lines):
         while True:

@@ -502,6 +502,32 @@ class TestMorphisms:
         with pytest.raises(MorphismError):
             apply_morphism(cfg, kill_second)
 
+    # a map P^2 -> P^1 with kernel (2, 6, 1): injective on the line z = 0,
+    # which holds every tuple, and it sends (0, 0, 1) and (1, 3, 1) to one point
+    PROJECT_FROM_K = LinearMorphism(((F(1), F(0), F(-2)), (F(0), F(1), F(-6))))
+
+    @staticmethod
+    def line_with_extra_points(extra):
+        pts = {name: (F(x), F(y), F(0)) for name, x, y in (("p", 1, 0), ("q", 0, 1), ("r", 1, 1), ("s", 1, 2))}
+        colors = [[("p", "q"), ("r", "s")], [("p", "r"), ("q", "s")]]
+        return build_configuration(Weight((1, 1)), 2, 2, colors, {**pts, **extra})
+
+    def test_point_in_no_tuple_with_zero_image(self):
+        cfg = self.line_with_extra_points({"e": (F(2), F(6), F(1))})
+        with pytest.raises(MorphismError, match="point 'e' maps to the zero vector"):
+            apply_morphism(cfg, self.PROJECT_FROM_K)
+
+    def test_merged_name_already_taken_gets_a_prime(self):
+        cfg = self.line_with_extra_points(
+            {"a": (F(0), F(0), F(1)), "b": (F(1), F(3), F(1)), "a+b": (F(0), F(1), F(1))}
+        )
+        image = apply_morphism(cfg, self.PROJECT_FROM_K)
+        # a and b take the merged name a+b first, so the point named a+b becomes a+b'
+        assert sorted(image.points) == ["a+b", "a+b'", "p", "q", "r", "s"]
+        assert image.points["a+b"].coords == linalg.mat_vec(self.PROJECT_FROM_K.matrix, cfg.points["a"].coords)
+        assert image.points["a+b'"].coords == linalg.mat_vec(self.PROJECT_FROM_K.matrix, cfg.points["a+b"].coords)
+        self.assert_images_exact(cfg, self.PROJECT_FROM_K, image)
+
     def test_shape_mismatch(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
         with pytest.raises(MorphismError, match="columns"):

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from eves import (
     compare,
     eves_invariant,
     load_configuration,
+    parse_configuration,
     reconstruction_vector,
     restrict_pair,
     unit_weight_expansion,
@@ -24,10 +27,18 @@ from eves import (
 )
 from eves import reconstruct
 from eves.configuration import RTuple
-from eves.reconstruct import render_compare, render_reconstruction
-from eves.wps import index_pairs
+from eves.invariant import bracket, canonical_point_reps
+from eves.reconstruct import projection_vector, render_compare, render_reconstruction
+from eves.wps import FieldKind, UndefinedPointError, index_pairs
 import conftest
-from conftest import CONFIG_FIXTURES, FIXTURES, random_h_configuration, random_invertible_matrix
+from conftest import (
+    CONFIG_FIXTURES,
+    FIXTURES,
+    random_h_configuration,
+    random_invertible_matrix,
+    random_simplex_configuration,
+)
+from test_golden_cli import lines_document
 
 ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
 
@@ -309,6 +320,102 @@ class TestReconstructionIdentity:
     def test_wrong_invariant_fails(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "segment_pair_aligned.json")
         assert not check_reconstruction_identity(cfg, WeightedPoint((F(1), F(2)), cfg.weight))
+
+    def test_complex_like_weight(self):
+        # in P(1,1) both fields ask for proportional coordinates, so the check answers for either
+        points = {name: (F(1), F(t)) for t, name in enumerate("abcd")}
+        colors = [[("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")]]
+        cfg = build_configuration(Weight((1, 1), FieldKind.COMPLEX_LIKE), 2, 1, colors, points)
+        ep = eves_invariant(cfg).point
+        assert check_reconstruction_identity(cfg, ep)
+        assert not check_reconstruction_identity(cfg, WeightedPoint((2 * ep.coords[0], ep.coords[1]), cfg.weight))
+
+
+def per_pair_identity(cfg, full):
+    """The projection identity checked pair by pair, as the library first did:
+    every distinct tuple bracketed again through ``bracket``, then each pair
+    restricted, expanded to weight (1,1) and evaluated by ``eves_invariant``,
+    and the value compared by ``wps_equivalent`` with the projection of ``full``."""
+    reps = canonical_point_reps(cfg)
+    checked = replace(cfg, brackets={t: bracket(t, span, reps).as_integer_ratio() for t, span in cfg.spans.items()})
+    vector = projection_vector(full)
+    return all(
+        wps_equivalent(eves_invariant(unit_weight_expansion(restrict_pair(checked, i, j))).point, entry)
+        for (i, j), entry in zip(vector.pairs, vector.entries)
+    )
+
+
+def identity_corpus():
+    """The fixtures, 20 random configurations of each conftest family and a
+    (31,29) family of 3 lines with 8 points each."""
+    corpus = [load_configuration(FIXTURES / name) for name in CONFIG_FIXTURES]
+    rng = random.Random(61)
+    corpus += [random_h_configuration(rng) for _ in range(20)]
+    corpus += [random_simplex_configuration(rng) for _ in range(20)]
+    corpus.append(parse_configuration(json.dumps(lines_document(random.Random(7), 3, 8, (31, 29)))))
+    return corpus
+
+
+def identity_inputs(cfg):
+    """(full, verdict) pairs: E_p, E_p rescaled by lambda^{p_c}, and E_p with one
+    coordinate doubled or set to zero, for each coordinate."""
+    ep = eves_invariant(cfg).point
+    lam = F(-3, 2)
+    yield ep, True
+    yield WeightedPoint(tuple(lam**p * z for p, z in zip(ep.weight.parts, ep.coords)), ep.weight), True
+    for c in range(len(ep.coords)):
+        for factor in (2, 0):
+            coords = list(ep.coords)
+            coords[c] *= factor
+            yield WeightedPoint(tuple(coords), ep.weight), False
+
+
+class TestIdentityAgainstPerPairReference:
+    """The check from one product per color agrees with the per-pair evaluation."""
+
+    def test_corpus(self):
+        for cfg in identity_corpus():
+            for full, verdict in identity_inputs(cfg):
+                assert check_reconstruction_identity(cfg, full) is verdict
+                assert per_pair_identity(cfg, full) is verdict
+
+    def test_inadmissible_expansion_refused_by_both(self):
+        # every point has degrees (1,0) or (0,1): the pair's expansion fails the check
+        points = {name: (F(1), F(t)) for t, name in enumerate("abc")}
+        cfg = build_configuration(Weight((1, 1)), 2, 1, [[("a", "b")], [("a", "c")]], points)
+        full = WeightedPoint((F(1), F(1)), cfg.weight)
+        for check in (check_reconstruction_identity, per_pair_identity):
+            with pytest.raises(NotHConfigurationError, match="point 'b'"):
+                check(cfg, full)
+
+    def test_check_brackets_afresh(self, fixtures_dir):
+        # a stored bracket doubled: E_p evaluated from the stored table disagrees
+        # with the brackets the check computes itself
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        t = next(iter(cfg.counts[0]))
+        num, den = cfg.brackets[t]
+        corrupt = replace(cfg, brackets={**cfg.brackets, t: (2 * num, den)})
+        full = eves_invariant(corrupt).point
+        assert not check_reconstruction_identity(corrupt, full)
+        assert not per_pair_identity(corrupt, full)
+
+    def test_pair_with_two_zero_ratios_fails_first(self):
+        # pair (0,1) is admissible and both its coordinates of full are zero;
+        # pair (0,2) fails admissibility, and is never reached
+        points = {name: (F(1), F(t)) for t, name in enumerate("abc")}
+        colors = [[("a", "b")], [("a", "b")], [("a", "c")]]
+        cfg = build_configuration(Weight((1, 1, 1)), 2, 1, colors, points)
+        assert not check_reconstruction_identity(cfg, WeightedPoint((F(0), F(0), F(1)), cfg.weight))
+        with pytest.raises(NotHConfigurationError):
+            check_reconstruction_identity(cfg, WeightedPoint((F(1), F(1), F(1)), cfg.weight))
+
+    def test_both_coordinates_of_a_pair_zero(self, fixtures_dir):
+        # the projection of such a point is undefined; the check answers false
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        full = WeightedPoint((F(0), F(0), F(1)), cfg.weight)
+        assert not check_reconstruction_identity(cfg, full)
+        with pytest.raises(UndefinedPointError):
+            per_pair_identity(cfg, full)
 
 
 class TestCompare:
