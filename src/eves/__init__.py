@@ -61,6 +61,7 @@ from .wps import (
     is_reconstructible,
     nonreconstructible_witness,
     product_map,
+    projections_agree,
     reduce_weight,
     wps_equivalent,
 )

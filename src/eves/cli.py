@@ -216,7 +216,7 @@ def run(args: argparse.Namespace) -> int:
         verdict = wps_equivalent(z, w)
         out.write("true\n" if verdict else "false\n")
         if args.oracle:
-            brute = oracle.bounded_lambda_search(z, w, oracle.SearchBound())
+            brute = oracle.bounded_lambda_search(z, w)
             if brute != verdict:
                 return mismatch("bounded scalar search verdict differs")
         return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -230,7 +230,7 @@ def run(args: argparse.Namespace) -> int:
             images_equal = all(
                 wps_equivalent(a, b) for a, b in zip(product_map(z), product_map(w))
             )
-            found = oracle.bounded_lambda_search(z, w, oracle.SearchBound())
+            found = oracle.bounded_lambda_search(z, w)
             if not images_equal or found:
                 return mismatch("witness pair fails the brute-force checks")
         return EXIT_OK

@@ -467,8 +467,6 @@ def _decode(text: str, source: str, object_pairs_hook=None):
     """The JSON document in ``text``; a decoding failure is a ``ConfigurationError`` naming ``source``."""
     try:
         return json.loads(text, object_pairs_hook=object_pairs_hook)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{source}: {exc}") from None
     except ValueError as exc:  # also an integer literal over the interpreter's digit limit
         raise ConfigurationError(f"{source}: invalid JSON: {exc}") from None
     except RecursionError:

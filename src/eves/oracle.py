@@ -24,18 +24,6 @@ from .numtheory import CongruenceSystem
 from .wps import Weight, WeightedPoint
 
 
-@dataclass(frozen=True)
-class SearchBound:
-    """Limits for the brute-force searches."""
-
-    lambda_height: int = 64
-
-    def __post_init__(self) -> None:
-        height = self.lambda_height
-        if isinstance(height, bool) or not isinstance(height, int) or height < 1:
-            raise ValueError("all bounds must be >= 1")
-
-
 @cache
 def _candidates(bound: int) -> tuple[tuple[int, int], ...]:
     """Coprime (numerator, denominator) pairs up to the bound, by increasing height."""
@@ -49,14 +37,14 @@ def _candidates(bound: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def bounded_lambda_search(z: WeightedPoint, w: WeightedPoint, bound: SearchBound | int) -> bool:
-    """Try every scalar +-a/b with a, b up to the bound against the definition.
+def bounded_lambda_search(z: WeightedPoint, w: WeightedPoint, height: int = 64) -> bool:
+    """Try every scalar +-a/b with a, b up to ``height`` against the definition.
 
     A candidate l passes iff w_k == l**p_k * z_k for every coordinate; the
-    comparison is done with cross-multiplied integers.  An integer bound is
-    checked as a ``SearchBound``.
+    comparison is done with cross-multiplied integers.
     """
-    height = (bound if isinstance(bound, SearchBound) else SearchBound(bound)).lambda_height
+    if isinstance(height, bool) or not isinstance(height, int) or height < 1:
+        raise ValueError("all bounds must be >= 1")
     if z.weight != w.weight:
         raise ValueError("points live in different weighted projective spaces")
     parts = z.weight.parts

@@ -14,11 +14,13 @@ are the exponents of the projection.  So the check brackets each distinct
 tuple of the configuration once, through the public ``bracket``, on
 canonical representatives and with its membership check, rather than
 reading the table stored when the configuration was built.  It forms one
-product X_c per color from that table and checks one equation per pair
-against the projection.  Each pair's admissibility is still checked on its
-expansion, whose counts are each multiplicity times lcm/p, so it is no
-larger than the pair; its points, tuples and spans are the parent's own
-objects, since the parent already checked and reduced them.
+product X_c per color from that table, and ``projections_agree`` checks one
+equation per pair.  Each pair's admissibility is still checked on its
+expansion, which shares the parent's points, tuples and spans and
+multiplies each count by lcm/p.
+
+``compare`` takes its pair verdicts from ``projections_agree`` too, and runs
+``wps_equivalent`` only when every pair agrees: equivalent invariants agree.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from .configuration import Configuration, ConfigurationError
 from .invariant import _color_products, _require_h, bracket, canonical_point_reps, eves_invariant
-from .wps import Weight, WeightedPoint, canonical_axis_projection, format_rational, index_pairs, product_map, wps_equivalent
+from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, projections_agree, wps_equivalent
 
 
 @dataclass(frozen=True)
@@ -112,17 +114,15 @@ def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bo
 
     Each distinct tuple is bracketed once, through ``bracket``, and each
     color's product X_c of those brackets is formed once.  The expansion of
-    pair (i, j) is [X_i^a : X_j^b], with (a, b) the canonical axis projection
-    exponents, and X has no zero coordinate; so, with r_c = full_c / X_c, it
-    is the projection [full_i^a : full_j^b] in P(1,1) iff r_i^a == r_j^b != 0.
-    Each expansion must still pass the admissibility check."""
+    pair (i, j) is [X_i^a : X_j^b], so ``projections_agree(X, full)`` decides
+    it; each expansion must pass the admissibility check before its verdict
+    is read.  A ``full`` of another weight raises ``ValueError``."""
     reps = canonical_point_reps(cfg)
     brackets = {t: bracket(t, span, reps).as_integer_ratio() for t, span in cfg.spans.items()}
-    ratios = [y / x for y, x in zip(full.coords, _color_products(cfg, brackets))]
-    for i, j in index_pairs(full.weight):
+    agree = projections_agree(WeightedPoint(_color_products(cfg, brackets), cfg.weight), full)
+    for (i, j), ok in zip(index_pairs(cfg.weight), agree):
         _require_h(unit_weight_expansion(restrict_pair(cfg, i, j)))
-        spec = canonical_axis_projection(full.weight, i, j)
-        if ratios[i] == 0 or ratios[i] ** spec.a != ratios[j] ** spec.b:
+        if not ok:
             return False
     return True
 
@@ -137,11 +137,9 @@ def compare(cfg_a: Configuration, cfg_b: Configuration) -> CompareReport:
     inv_b = eves_invariant(cfg_b).point
     vec_a = projection_vector(inv_a)
     vec_b = projection_vector(inv_b)
-    pair_equal = tuple(
-        wps_equivalent(x, y) for x, y in zip(vec_a.entries, vec_b.entries)
-    )
+    pair_equal = projections_agree(inv_a, inv_b)
     return CompareReport(
-        ep_equivalent=wps_equivalent(inv_a, inv_b),
+        ep_equivalent=all(pair_equal) and wps_equivalent(inv_a, inv_b),
         reconstruction_equal=all(pair_equal),
         pairs=vec_a.pairs,
         entries_a=vec_a.entries,

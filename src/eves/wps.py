@@ -194,6 +194,19 @@ def product_map(z: WeightedPoint) -> tuple[WeightedPoint, ...]:
     )
 
 
+def projections_agree(z: WeightedPoint, w: WeightedPoint) -> tuple[bool, ...]:
+    """Per index pair, lexicographic order: whether z and w have the same canonical
+    axis projection [z_i**a : z_j**b].  With r = w/z (z has no zero coordinate),
+    pair (i, j) agrees iff r_i != 0 and r_i**a == r_j**b, over either field."""
+    if z.weight != w.weight:
+        raise ValueError("points live in different weighted projective spaces")
+    if not z.in_dense_locus():
+        raise ValueError("the reference point has a zero coordinate")
+    r = [wk / zk for zk, wk in zip(z.coords, w.coords)]
+    specs = (canonical_axis_projection(z.weight, i, j) for i, j in index_pairs(z.weight))
+    return tuple(r[s.i] != 0 and r[s.i] ** s.a == r[s.j] ** s.b for s in specs)
+
+
 def is_reconstructible(p: Weight) -> bool:
     """Whether generic points are pinned down by all their axis projections.
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from eves import Weight, WeightedPoint, build_configuration
+from eves import Weight, WeightedPoint, build_configuration, product_map, wps_equivalent
 from eves import linalg
 
 settings.register_profile("exact", deadline=None)
@@ -44,6 +44,12 @@ def random_weighted_point(rng: random.Random, weight: Weight, dense: bool = True
     if all(c == 0 for c in coords):
         coords[0] = Fraction(1)
     return WeightedPoint(tuple(coords), weight)
+
+
+def projections_agree_by_equivalence(z: WeightedPoint, w: WeightedPoint) -> tuple[bool, ...]:
+    """The reference for ``projections_agree``: both points projected to
+    P(1,1) pair by pair, and each pair of images decided by ``wps_equivalent``."""
+    return tuple(wps_equivalent(a, b) for a, b in zip(product_map(z), product_map(w)))
 
 
 def random_invertible_matrix(rng: random.Random, n: int) -> tuple:

@@ -33,7 +33,7 @@ from eves import (
 )
 from eves import linalg
 from eves.numtheory import CongruenceSystem, crt_solve, root_power_count
-from eves.oracle import SearchBound, bounded_lambda_search, brute_invariant, exhaustive_crt
+from eves.oracle import bounded_lambda_search, brute_invariant, exhaustive_crt
 from conftest import (
     FIXTURES,
     rand_nonzero_fraction,
@@ -282,7 +282,6 @@ def test_oracle_equivalence():
         assert wps_equivalent(brute_invariant(cfg).point, eves_invariant(cfg).point), name
 
     rng = random.Random(1010)
-    bound = SearchBound(lambda_height=64)
     agree = 0
     positives = 0
     negatives = 0
@@ -310,7 +309,7 @@ def test_oracle_equivalence():
             expected = False
         w = WeightedPoint(tuple(coords), weight)
         fast = wps_equivalent(z, w)
-        slow = bounded_lambda_search(z, w, bound)
+        slow = bounded_lambda_search(z, w)
         assert fast == slow == expected
         agree += 1
         positives += expected

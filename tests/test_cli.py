@@ -133,6 +133,51 @@ class TestValidate:
         assert f"\nell: {ell}\n" in out
 
 
+def document(**changes):
+    """A valid weight (1,1) configuration with the given fields replaced."""
+    doc = {
+        "field": "rational", "weight": [1, 1], "arity": 2, "dim": 1,
+        "points": {"a": ["1", "0"], "b": ["1", "1"]}, "colors": [[["a", "b"]], [["a", "b"]]],
+    }
+    return {**doc, **changes}
+
+
+MALFORMED = {
+    # refused by parse_configuration
+    "top-level-list": ([], "top level must be an object"),
+    "weight-not-integers": (document(weight=[1, "1"]), "weight: must be a list of integers"),
+    "weight-zero-part": (document(weight=[1, 0]), "weight: weight parts must be positive"),
+    "points-not-object": (document(points=[]), "points: must be an object"),
+    "point-not-list": (document(points={"a": "1"}), "points['a']: must be a list of rationals"),
+    "zero-vector-point": (document(points={"a": ["0", "0"], "b": ["1", "1"]}),
+                          "point 'a': zero vector is not a projective point"),
+    "colors-not-list": (document(colors={}), "colors: must be a list"),
+    "color-not-list": (document(colors=["ab", [["a", "b"]]]), "colors[0]: must be a list of tuples"),
+    "tuple-not-list": (document(colors=[["ab"], [["a", "b"]]]), "colors[0][0]: must be a list of point names"),
+    # refused by build_configuration
+    "arity-zero": (document(arity=0), "arity must be >= 1"),
+    "dim-negative": (document(dim=-1), "dimension must be >= 0"),
+    "color-count": (document(colors=[[["a", "b"]]]), "1 color lists for a weight of length 2"),
+    "tuple-length": (document(colors=[[["a"]], [["a", "b"]]]), "colors[0][0]: tuple has 1 members, expected 2"),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "matrix-object"])
+def test_malformed_input_exits_two(capsys, tmp_path, case):
+    path = tmp_path / "input.json"
+    if case == "matrix-object":
+        path.write_text(json.dumps({"a": 1}))
+        argv = ["transform", str(FIXTURES / "cross_ratio_quadruple.json"), "--matrix", str(path)]
+        message = "matrix must be a non-empty array of rows"
+    else:
+        doc, message = MALFORMED[case]
+        path.write_text(json.dumps(doc))
+        argv = ["validate", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 class TestInvariant:
     def test_cross_ratio_output(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "invariant", str(fixtures_dir / "cross_ratio_quadruple.json"))

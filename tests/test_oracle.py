@@ -18,7 +18,6 @@ from eves import (
 from eves import oracle
 from eves.numtheory import CongruenceSystem, crt_solve
 from eves.oracle import (
-    SearchBound,
     bounded_lambda_search,
     brute_degrees,
     brute_invariant,
@@ -35,25 +34,25 @@ def wpt(coords, parts):
 
 
 class TestSearchBound:
+    """The height bound of ``bounded_lambda_search``."""
+
     def test_validation(self):
+        z = wpt([1, 1], [1, 1])
         with pytest.raises(ValueError):
-            SearchBound(lambda_height=0)
-        assert SearchBound().lambda_height == 64
+            bounded_lambda_search(z, z, 0)
+        # the default height is 64: the scalar 64 is found, 65 is not
+        assert bounded_lambda_search(z, wpt([64, 64], [1, 1]))
+        assert not bounded_lambda_search(z, wpt([65, 65], [1, 1]))
 
     @pytest.mark.parametrize("height", [0, -5, True, False, 2.7, 3.0, "8", None])
     def test_refuses_non_positive_and_non_integer_heights(self, height):
-        with pytest.raises(ValueError, match="all bounds must be >= 1"):
-            SearchBound(lambda_height=height)
-
-    @pytest.mark.parametrize("height", [0, -5, True, 2.7])
-    def test_integer_bound_goes_through_search_bound(self, height):
         z = wpt([F(3, 5), -2], [3, 4])
         with pytest.raises(ValueError, match="all bounds must be >= 1"):
             bounded_lambda_search(z, z, height)
 
     def test_positive_integer_bound_finds_identity(self):
         z = wpt([F(3, 5), -2], [3, 4])
-        assert bounded_lambda_search(z, z, 1) and bounded_lambda_search(z, z, SearchBound(1))
+        assert bounded_lambda_search(z, z, 1)
 
 
 class TestBoundedLambdaSearch:
@@ -69,7 +68,6 @@ class TestBoundedLambdaSearch:
 
     def test_agreement_with_decision_procedure(self):
         rng = random.Random(37)
-        bound = SearchBound(lambda_height=16)
         for _ in range(300):
             parts = tuple(rng.randint(1, 5) for _ in range(rng.randint(2, 3)))
             weight = Weight(parts)
@@ -83,7 +81,7 @@ class TestBoundedLambdaSearch:
                 coords_w = list(w.coords)
                 coords_w[k] *= 2
                 w = WeightedPoint(tuple(coords_w), weight)
-            assert bounded_lambda_search(z, w, bound) == wps_equivalent(z, w)
+            assert bounded_lambda_search(z, w, 16) == wps_equivalent(z, w)
 
 
 class TestExhaustiveCrt:

@@ -34,6 +34,7 @@ import conftest
 from conftest import (
     CONFIG_FIXTURES,
     FIXTURES,
+    projections_agree_by_equivalence,
     random_h_configuration,
     random_invertible_matrix,
     random_simplex_configuration,
@@ -321,6 +322,14 @@ class TestReconstructionIdentity:
         cfg = load_configuration(fixtures_dir / "segment_pair_aligned.json")
         assert not check_reconstruction_identity(cfg, WeightedPoint((F(1), F(2)), cfg.weight))
 
+    @pytest.mark.parametrize("parts", [(2, 2), (1, 1)])
+    def test_invariant_of_another_weight_refused(self, fixtures_dir, parts):
+        # a two-coordinate point against the three colors of weight (2,2,4): no pair is dropped
+        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
+        full = WeightedPoint((F(1, 64), F(1, 64)), Weight(parts))
+        with pytest.raises(ValueError, match="different weighted projective spaces"):
+            check_reconstruction_identity(cfg, full)
+
     def test_complex_like_weight(self):
         # in P(1,1) both fields ask for proportional coordinates, so the check answers for either
         points = {name: (F(1), F(t)) for t, name in enumerate("abcd")}
@@ -456,6 +465,37 @@ class TestCompare:
             assert report.ep_equivalent
             assert report.reconstruction_equal
 
+    def test_pair_verdicts_match_pairwise_equivalence_on_fixture_pairs(self, monkeypatch):
+        calls = []
+
+        def counting(z, w):
+            calls.append((z, w))
+            return wps_equivalent(z, w)
+
+        monkeypatch.setattr(reconstruct, "wps_equivalent", counting)
+        configs = [load_configuration(FIXTURES / name) for name in CONFIG_FIXTURES]
+        pairs = [(a, b) for a in configs for b in configs if (a.weight, a.arity) == (b.weight, b.arity)]
+        assert len(pairs) > len(configs)
+        for a, b in pairs:
+            calls.clear()
+            report = compare(a, b)
+            inv_a, inv_b = report.invariant_a, report.invariant_b
+            assert report.pair_equal == projections_agree_by_equivalence(inv_a, inv_b)
+            assert report.ep_equivalent == wps_equivalent(inv_a, inv_b)
+            # one equivalence test at most, and none once a pair differs
+            assert len(calls) == (1 if report.reconstruction_equal else 0)
+
+    def test_complex_like_pairs_that_differ(self):
+        # wps_equivalent decides real-like weights only; it is not reached here
+        points = {name: (F(1), F(t)) for t, name in enumerate("abcd")}
+        weight = Weight((1, 1), FieldKind.COMPLEX_LIKE)
+        a = build_configuration(weight, 2, 1, [[("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")]], points)
+        b = build_configuration(weight, 2, 1, [[("a", "b"), ("c", "d")], [("a", "d"), ("b", "c")]], points)
+        report = compare(a, b)
+        assert (report.invariant_a.coords, report.invariant_b.coords) == ((1, 4), (1, 3))
+        assert report.pair_equal == (False,)
+        assert not report.ep_equivalent and not report.reconstruction_equal
+
     def test_report_invariant_enforced(self):
         w = Weight((1, 1))
         pt = WeightedPoint((F(1), F(1)), w)
@@ -471,6 +511,37 @@ class TestCompare:
                 invariant_a=pt,
                 invariant_b=pt,
             )
+
+
+MEMBER_ORDER_WEIGHTS = ((1, 1), (1, 2), (2, 4), (3, 6), (2, 2, 4), (2, 3, 5))
+
+
+class TestMemberOrder:
+    """Swapping the two members of one tuple occurrence in color c negates
+    E_p's coordinate c and leaves the others unchanged."""
+
+    @pytest.mark.parametrize("parts", MEMBER_ORDER_WEIGHTS, ids=str)
+    def test_swap_negates_one_coordinate(self, parts):
+        rng = random.Random(str(parts))
+        for _ in range(12):
+            cfg = random_h_configuration(rng, parts=parts)
+            c = rng.randrange(len(parts))
+            colors = [list(color) for color in cfg.colors]
+            k = rng.randrange(len(colors[c]))
+            colors[c][k] = colors[c][k][::-1]
+            swapped = build_configuration(cfg.weight, cfg.arity, cfg.dim, colors, cfg.points)
+
+            before, after = eves_invariant(cfg).point.coords, eves_invariant(swapped).point.coords
+            assert after == tuple(-z if k == c else z for k, z in enumerate(before))
+
+            report = compare(cfg, swapped)
+            others_even = all(p % 2 == 0 for k, p in enumerate(parts) if k != c)
+            assert report.ep_equivalent is (parts[c] % 2 == 1 and others_even)
+            for (i, j), equal in zip(report.pairs, report.pair_equal):
+                if c in (i, j):
+                    assert equal is (math.lcm(parts[i], parts[j]) // parts[c] % 2 == 0)
+                else:
+                    assert equal
 
 
 class TestRendering:

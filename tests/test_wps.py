@@ -22,10 +22,11 @@ from eves.wps import (
     parse_rational,
     parse_weight,
     product_map,
+    projections_agree,
     reduce_weight,
     wps_equivalent,
 )
-from conftest import random_weighted_point
+from conftest import projections_agree_by_equivalence, random_weighted_point
 
 
 def wpt(coords, parts, field=FieldKind.REAL_LIKE):
@@ -266,6 +267,64 @@ class TestAxisProjections:
             for i, j in index_pairs(weight):
                 spec = canonical_axis_projection(weight, i, j)
                 assert wps_equivalent(apply_axis_projection(spec, z), apply_axis_projection(spec, w))
+
+
+# odd parts only, even parts only, and both
+AGREEMENT_WEIGHTS = (
+    (1, 1), (3, 5), (1, 3, 5), (3, 7, 9, 1),
+    (2, 2), (2, 4), (2, 2, 4), (4, 6, 8), (2, 4, 6, 8),
+    (1, 2), (2, 3), (3, 6), (2, 3, 5), (1, 2, 3, 4),
+)
+
+
+def agreement_partners(rng, z):
+    """z rescaled by l**p_k, z with one coordinate negated, z with one
+    coordinate doubled, and an unrelated dense point."""
+    yield scaled(z, F(rng.choice([-3, -2, -1, 2, 3]), rng.randint(1, 4)))
+    for factor in (-1, 2):
+        coords = list(z.coords)
+        coords[rng.randrange(len(coords))] *= factor
+        yield WeightedPoint(tuple(coords), z.weight)
+    yield random_weighted_point(rng, z.weight)
+
+
+class TestProjectionsAgree:
+    def test_worked_examples(self):
+        assert projections_agree(wpt([1, 1], [1, 1]), wpt([3, 3], [1, 1])) == (True,)
+        assert projections_agree(wpt([1, 1], [1, 1]), wpt([1, 2], [1, 1])) == (False,)
+        # the (2,2) witness pair: inequivalent, with equal projections
+        assert projections_agree(wpt([1, 1], [2, 2]), wpt([-1, -1], [2, 2])) == (True,)
+        assert projections_agree(wpt([1, 1, 1], [2, 2, 4]), wpt([1, -1, 1], [2, 2, 4])) == (False, True, True)
+        assert projections_agree(wpt([1, 2, 3, 4], [1, 2, 3, 4]), wpt([1, 2, 3, 4], [1, 2, 3, 4])) == (True,) * 6
+
+    def test_zero_coordinates_of_w_never_agree(self):
+        z = wpt([1, 1, 1], [1, 2, 3])
+        assert projections_agree(z, wpt([0, 1, 1], [1, 2, 3])) == (False, False, True)
+        assert projections_agree(z, wpt([0, 0, 1], [1, 2, 3])) == (False, False, False)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="different weighted projective spaces"):
+            projections_agree(wpt([1, 1], [1, 1]), wpt([1, 1], [2, 2]))
+        with pytest.raises(ValueError, match="zero coordinate"):
+            projections_agree(wpt([1, 0], [1, 1]), wpt([1, 1], [1, 1]))
+
+    def test_complex_like_weight(self):
+        # the ratio equation asks nothing of the field, so no ValueError here
+        z, w = wpt([1, 1], [2, 4], FieldKind.COMPLEX_LIKE), wpt([2, 4], [2, 4], FieldKind.COMPLEX_LIKE)
+        assert projections_agree(z, w) == (True,)
+        assert projections_agree(z, wpt([1, 2], [2, 4], FieldKind.COMPLEX_LIKE)) == (False,)
+
+    def test_matches_pairwise_equivalence(self):
+        rng = random.Random(43)
+        seen = set()
+        for parts in AGREEMENT_WEIGHTS:
+            for _ in range(30):
+                z = random_weighted_point(rng, Weight(parts))
+                for w in agreement_partners(rng, z):
+                    verdicts = projections_agree(z, w)
+                    assert verdicts == projections_agree_by_equivalence(z, w), (z, w)
+                    seen.update(verdicts)
+        assert seen == {True, False}
 
 
 class TestReconstructibility:
