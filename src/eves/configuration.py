@@ -12,10 +12,11 @@ per-span color degrees are proportional to the weight with integer ratios.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -61,7 +62,8 @@ class Subspace:
     """Canonical reduced-echelon basis R of an r-dimensional linear subspace.
 
     R is the identity at its pivot columns, so a vector's coordinates in R are
-    its entries there.  R's integer form is built on first use.
+    its entries there.  The hash is that of R's integer rows D·R (``scaled``),
+    which equal bases share: cheaper than hashing the rationals.
     """
 
     basis: Matrix
@@ -74,8 +76,8 @@ class Subspace:
         if rk != len(basis) or reduced != basis:
             raise ConfigurationError("subspace basis must be reduced echelon rows of full rank")
         object.__setattr__(self, "basis", basis)
-        # spans key dicts looked up once per tuple; hashing the rationals anew each time dominates them
-        object.__setattr__(self, "_hash", hash(basis))
+        # spans key dicts looked up once per tuple, so the hash is computed once
+        object.__setattr__(self, "_hash", hash(tuple(map(tuple, self.scaled[1]))))
 
     def __hash__(self) -> int:
         return self._hash
@@ -250,12 +252,13 @@ def build_configuration(
     facts: dict[str, dict[int, list[int]]] = {name: {} for name in table}
     proven: dict[int, Subspace] = {}
     for c, color in enumerate(colors):
-        tuples: list[RTuple] = []
-        for k, t in enumerate(color):
-            try:
-                tuples.append(_as_rtuple(t))
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"colors[{c}][{k}]: {exc}") from None
+        tuples: list[RTuple] = list(color)
+        if set(map(type, tuples)) - {tuple}:
+            for k, t in enumerate(tuples):
+                try:
+                    tuples[k] = _as_rtuple(t)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"colors[{c}][{k}]: {exc}") from None
         p_c = weight.parts[c]
         if len(tuples) % p_c != 0:
             raise ConfigurationError(
@@ -280,12 +283,14 @@ def build_configuration(
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
                 known = [facts[name] for name in t]
-                shared = set(known[0]).intersection(*known[1:])
-                if shared:
-                    key = next(iter(shared))
+                shared = iter(known[0])  # the first member's spans that hold every other member
+                for fact in known[1:]:
+                    shared = filter(fact.__contains__, shared)
+                key = next(shared, None)
+                if key is not None:
                     span = proven[key]
-                    # copies: Bareiss overwrites its rows from r = 3 on
-                    minor = linalg.integer_det([fact[key][:] for fact in known])
+                    # copies from r = 3 on, where Bareiss overwrites its rows
+                    minor = linalg.integer_det([fact[key] if arity < 3 else fact[key][:] for fact in known])
                 else:
                     span, minor = _span([cleared[name] for name in t], interned) or (None, 0)
                     if minor:
@@ -396,12 +401,12 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
         ell = 0
 
     point_counts: dict[str, list[int]] = {name: [0] * len(sizes) for name in cfg.points}
-    span_counts: dict[Subspace, list[int]] = {}
+    span_counts: dict[Subspace, list[int]] = defaultdict(lambda: [0] * len(sizes))
     for c, color in enumerate(cfg.counts):
         for t, k in color.items():
             for name in t:
                 point_counts[name][c] += k
-            span_counts.setdefault(cfg.spans[t], [0] * len(sizes))[c] += k
+            span_counts[cfg.spans[t]][c] += k
 
     subspaces = cfg.subspaces()
     point_degrees = {name: tuple(v) for name, v in point_counts.items()}
@@ -548,12 +553,11 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
     for c, color in enumerate(doc["colors"]):
         if not isinstance(color, list):
             raise fail(f"colors[{c}]: must be a list of tuples")
-        tuples = []
-        for k, t in enumerate(color):
-            if not isinstance(t, list) or not all(isinstance(m, str) for m in t):
-                raise fail(f"colors[{c}][{k}]: must be a list of point names")
-            tuples.append(tuple(t))
-        colors.append(tuples)
+        if set(map(type, color)) - {list} or set(map(type, chain.from_iterable(color))) - {str}:
+            for k, t in enumerate(color):  # names the first entry that is not a list of names
+                if not isinstance(t, list) or not all(isinstance(m, str) for m in t):
+                    raise fail(f"colors[{c}][{k}]: must be a list of point names")
+        colors.append(list(map(tuple, color)))
 
     try:
         return build_configuration(weight, doc["arity"], doc["dim"], colors, points)

@@ -7,15 +7,18 @@ Python integers: a row's denominators are cleared once by their lcm
 ``integer_echelon_minor`` gives a span's primitive integer echelon rows, its
 pivots and its rank, and the determinant of independent rows at those pivots;
 ``integer_det`` gives the determinant of a square matrix.  ``rref``, ``rank``
-and ``det`` are thin conversions over them that return rationals.  A span's
-own integer form (membership, and determinants in its echelon basis) lives on
-``configuration.Subspace``.  Only ``mat_vec`` and ``mat_mul`` compute on
-``Fraction`` entries.
+and ``det`` are thin conversions over them that return rationals; ``rref``
+returns an input that already is a reduced basis after an O(r·n) scan, not a
+second elimination, since every ``configuration.Subspace`` checks its basis
+with it and most bases come reduced.  A span's own integer form (membership,
+and determinants in its echelon basis) lives on ``configuration.Subspace``.
+Only ``mat_vec`` and ``mat_mul`` compute on ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -113,8 +116,26 @@ def integer_echelon_minor(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]
     return echelon, tuple(pivots), sign * prev
 
 
+def _is_reduced(rows) -> bool:
+    """Whether ``rows`` is a tuple of equal-length ``Fraction`` tuples whose first nonzero
+    entries are 1, at strictly increasing columns that are zero in every other row."""
+    if (type(rows) is not tuple or {tuple} != set(map(type, rows)) or len(set(map(len, rows))) != 1
+            or {Fraction} != set(map(type, chain.from_iterable(rows)))):
+        return False
+    last = -1
+    for row in rows:
+        c = next((c for c, x in enumerate(row) if x), -1)
+        if c <= last or row[c] != 1 or sum(1 for other in rows if other[c]) != 1:
+            return False
+        last = c
+    return True
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int]:
-    """Reduced row echelon form (zero rows dropped) and the rank."""
+    """Reduced row echelon form (zero rows dropped) and the rank; an input
+    that already is a reduced echelon basis of full rank is returned as it is."""
+    if _is_reduced(rows):
+        return rows, len(rows)
     echelon, pivots, _ = integer_echelon_minor(_cleared(rows))
     return tuple(scale_first_nonzero(row) for row in echelon), len(pivots)
 
@@ -131,7 +152,7 @@ def integer_det(m: list[list[int]]) -> int:
     remaining entry is a (k+1)-order minor of the input.
     """
     n = len(m)
-    if any(len(r) != n for r in m):
+    if set(map(len, m)) - {n}:
         raise ValueError("determinant requires a square matrix")
     if n == 2:
         (a, b), (c, d) = m

@@ -154,6 +154,10 @@ MALFORMED = {
     "colors-not-list": (document(colors={}), "colors: must be a list"),
     "color-not-list": (document(colors=["ab", [["a", "b"]]]), "colors[0]: must be a list of tuples"),
     "tuple-not-list": (document(colors=[["ab"], [["a", "b"]]]), "colors[0][0]: must be a list of point names"),
+    "member-not-str": (document(colors=[[["a", "b"], ["a", 1]], [["a", "b"]]]),
+                       "colors[0][1]: must be a list of point names"),
+    "first-bad-entry": (document(colors=[[["a", "b"], "ab", ["a", 1]], [["a", "b"]]]),
+                        "colors[0][1]: must be a list of point names"),
     # refused by build_configuration
     "arity-zero": (document(arity=0), "arity must be >= 1"),
     "dim-negative": (document(dim=-1), "dimension must be >= 0"),

@@ -286,6 +286,33 @@ class TestSubspaceOrder:
         assert cfg.subspaces() == tuple(sorted(set(spans.values()), key=lambda s: s.basis))
 
 
+class TestSubspaceHash:
+    """A span hashes by its integer rows D·R, however its basis was given."""
+
+    def test_one_key_from_int_rows_fraction_rows_and_elimination(self):
+        ints = Subspace(((1, 0, 2, -3), (0, 1, 5, 7)))
+        fractions = Subspace(((F(1), F(0), F(2), F(-3)), (F(0), F(1), F(5), F(7))))
+        eliminated, _ = configuration._span([[1, 1, 7, 4], [2, -1, -1, -13]], {})
+        assert ints == fractions == eliminated
+        assert hash(ints) == hash(fractions) == hash(eliminated)
+        assert len({ints: 0, fractions: 1, eliminated: 2}) == 1
+        other = Subspace(((1, 0, 2, -3), (0, 1, 5, 8)))
+        assert other != ints and len({ints: 0, other: 1}) == 2
+
+    @given(span_families())
+    def test_equal_spans_share_a_key_and_distinct_spans_do_not(self, family):
+        _, _, bases = family
+        keys = {}
+        for basis in bases:
+            span = Subspace(basis)
+            found, _ = configuration._span([linalg.clear_denominators(row)[0] for row in basis], {})
+            assert found == span and hash(found) == hash(span)
+            keys[span] = basis
+            keys[found] = basis
+        assert len(keys) == len(set(bases))
+        assert all(span.basis == basis for span, basis in keys.items())
+
+
 class TestDegrees:
     def test_cross_ratio_degrees(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
@@ -434,6 +461,15 @@ class TestProvenSpans:
             spans, brackets = eliminated_one_by_one(cfg)
             assert {t: s.basis for t, s in cfg.spans.items()} == {t: s.basis for t, s in spans.items()}
             assert cfg.brackets == brackets
+
+    def test_one_elimination_per_new_span(self, monkeypatch):
+        # the Subspace that _span builds checks its basis with rref, which
+        # recognises the reduced rows without eliminating them again
+        lines = lines_configuration(random.Random(3), 6, 8)
+        eliminations = count_calls(monkeypatch, linalg, "integer_echelon_minor")
+        spans = count_calls(monkeypatch, configuration, "_span")
+        build_configuration(lines.weight, lines.arity, lines.dim, lines.colors, lines.points)
+        assert len(eliminations) == len(spans) >= len(lines.subspaces())
 
     @pytest.mark.parametrize("dependent", [("b", "b"), ("a", "a2"), ("a2", "a")])
     def test_dependent_tuple_in_recorded_span(self, dependent, monkeypatch):

@@ -109,6 +109,71 @@ def test_ragged_rows_refused():
         linalg.rref(((F(1), F(0)), (F(0), F(1), F(5))))
 
 
+def eliminated(rows):
+    """``rref`` without its reduced-input shortcut: the elimination it falls back to."""
+    ints = [linalg.clear_denominators(linalg.vec(row))[0] for row in rows]
+    echelon, pivots, _ = linalg.integer_echelon_minor(ints)
+    return tuple(linalg.scale_first_nonzero(row) for row in echelon), len(pivots)
+
+
+def one_defect_away(reduced, i, j):
+    """Inputs that differ from the reduced basis of full rank by one defect,
+    named by the defect; 0 <= i < j < len(reduced), or i == j for one row."""
+    rows = list(reduced)
+    defects = {
+        "pivot-two": rows[:i] + [tuple(2 * x for x in rows[i])] + rows[i + 1:],
+        "zero-row": rows[:i] + [(F(0),) * len(rows[0])] + rows[i:],
+        "repeated-row": rows[:i + 1] + [rows[i]] + rows[i + 1:],
+        "int-entries": rows[:i] + [tuple(int(x) if x.denominator == 1 else x for x in rows[i])] + rows[i + 1:],
+        "list-rows": [list(row) for row in rows],
+    }
+    if i < j:
+        above = rows[:i] + [tuple(x + y for x, y in zip(rows[i], rows[j]))] + rows[i + 1:]
+        swapped = rows[:]
+        swapped[i], swapped[j] = rows[j], rows[i]
+        defects.update({"nonzero-above-pivot": above, "rows-swapped": swapped})
+    # the list rows stay in a list; the other inputs are tuples, as from ``mat``
+    return {name: rows if name == "list-rows" else tuple(rows) for name, rows in defects.items()}
+
+
+@given(matrices(), st.data())
+def test_reduced_input_is_returned_as_it_is(rows, data):
+    reduced, rk = linalg.rref(rows)
+    again = linalg.rref(reduced)
+    assert again == (reduced, rk)
+    if not rk:
+        return
+    assert again[0] is reduced
+    i = data.draw(st.integers(0, rk - 1))
+    j = data.draw(st.integers(i, rk - 1))
+    for name, variant in one_defect_away(reduced, i, j).items():
+        result = linalg.rref(variant)
+        assert result == eliminated(variant) == (reduced, rk), name
+        assert result[0] is not variant, name
+        if name in ("int-entries", "list-rows"):  # the same basis, read by ``mat``
+            assert Subspace(variant) == Subspace(reduced)
+        else:
+            with pytest.raises(ConfigurationError, match="reduced echelon rows of full rank"):
+                Subspace(variant)
+    longer = reduced[-1] + (F(0),)
+    for ragged in (reduced + ((F(0),) * len(longer),), reduced[:-1] + (longer,)):
+        if len(ragged) > 1:
+            with pytest.raises(ValueError, match="^matrix rows have unequal lengths$"):
+                linalg.rref(ragged)
+
+
+@pytest.mark.parametrize("basis", [
+    ((F(1), F(2), F(0)), (F(2), F(4), F(0))),  # dependent
+    ((F(1), F(0), F(2)), (F(0), F(0), F(0))),  # a zero row
+    ((F(1), F(2), F(0)), (F(0), F(1), F(3))),  # echelon, with a nonzero above a pivot
+    ((F(0), F(1), F(3)), (F(1), F(0), F(0))),  # reduced rows out of order
+    ((F(1), F(0), F(0)), (F(0), F(2), F(4))),  # a pivot of 2
+], ids=["dependent", "zero-row", "not-reduced", "out-of-order", "pivot-two"])
+def test_subspace_refuses_bases_that_are_not_reduced_of_full_rank(basis):
+    with pytest.raises(ConfigurationError, match="^subspace basis must be reduced echelon rows of full rank$"):
+        Subspace(basis)
+
+
 @given(matrices(), st.lists(entries, min_size=5, max_size=5), st.booleans())
 def test_membership_agrees_with_minors(rows, values, combine):
     reduced, rk = linalg.rref(rows)
