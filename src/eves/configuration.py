@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .wps import FieldKind, Weight, format_rational, parse_rational
+from .wps import MAX_RATIONAL_CHARS, _PLAIN_INTEGER, FieldKind, Weight, format_rational, parse_rational
 
 
 # Input limits, checked before parsing; far above the fixtures and the benchmark's inputs
@@ -38,18 +38,51 @@ class ConfigurationError(ValueError):
     """Configuration data violates a structural requirement."""
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, frozen=True)
 class ProjPoint:
-    name: str
-    coords: Vector
+    """A named, immutable point of projective space, kept as integers: ``row``
+    is its coordinates times ``denominator``, the lcm D of their denominators,
+    and ``lead`` the row's first nonzero entry.  ``coords`` (``Fraction``) is
+    built on first use.  The coordinates determine (row, D), so points compare
+    and hash on (name, row, D) as on (name, coords), however they were built.
+    """
 
-    def __post_init__(self) -> None:
-        coords = linalg.vec(self.coords)
-        if not self.name:
+    name: str
+    row: tuple[int, ...]
+    denominator: int
+    lead: int
+
+    def __init__(self, name: str, coords: Sequence) -> None:
+        coords = tuple(coords)
+        types = set(map(type, coords))
+        if types == {int}:
+            row, d = coords, 1
+        else:  # other entries are read as ``Fraction`` reads them
+            row, d = linalg.clear_denominators(coords if types <= {int, Fraction} else linalg.vec(coords))
+            row = tuple(row)
+        self._fill(name, row, d)
+
+    @classmethod
+    def from_row(cls, name: str, row: Sequence[int], denominator: int) -> ProjPoint:
+        """The point row / denominator, from integers with a positive denominator;
+        one gcd brings them to the point's own (row, D)."""
+        g = gcd(denominator, *row)
+        pt = cls.__new__(cls)
+        pt._fill(name, tuple(x // g for x in row), denominator // g)
+        return pt
+
+    def _fill(self, name: str, row: tuple[int, ...], d: int) -> None:
+        if not name:
             raise ConfigurationError("point name must be non-empty")
-        if not any(coords):
-            raise ConfigurationError(f"point {self.name!r}: zero vector is not a projective point")
-        object.__setattr__(self, "coords", coords)
+        lead = next(filter(None, row), None)
+        if lead is None:
+            raise ConfigurationError(f"point {name!r}: zero vector is not a projective point")
+        self.__dict__.update(name=name, row=row, denominator=d, lead=lead)
+
+    @cached_property
+    def coords(self) -> Vector:
+        d = self.denominator
+        return tuple(Fraction(x, d) for x in self.row)
 
     @cached_property
     def canonical_rep(self) -> Vector:
@@ -202,9 +235,10 @@ def build_configuration(
     counts: each distinct tuple with its multiplicity, sorted on member names.
 
     The elimination that finds a tuple's span also brackets the tuple: a
-    canonical representative is the point's cleared integer row u divided by
-    its lead, the first nonzero entry of u, so the canonical bracket is the
-    rows' minor at the span's pivots over the product of the members' leads.
+    canonical representative is the point's integer row u (``ProjPoint.row``)
+    divided by its lead, the first nonzero entry of u, so the canonical
+    bracket is the rows' minor at the span's pivots over the product of the
+    members' leads.
 
     Each elimination proves its members lie in the span it finds, and that
     is recorded per point, with the point's cleared row at the span's pivot
@@ -212,7 +246,9 @@ def build_configuration(
     needs no elimination: the determinant of their recorded rows is the
     minor an elimination would return, and it is zero exactly when the rows
     are dependent.  Only recorded facts are looked up, so a tuple sharing no
-    span with earlier ones costs one elimination, as before.
+    span with earlier ones costs one elimination, as before.  At full arity
+    (r = dim + 1) every tuple spans the whole space, so every point's row is
+    recorded in it up front and no tuple is eliminated.
     """
     if arity < 1:
         raise ConfigurationError("arity must be >= 1")
@@ -226,21 +262,17 @@ def build_configuration(
         )
 
     table: dict[str, ProjPoint] = {}
-    cleared: dict[str, list[int]] = {}  # each point's coordinates with denominators cleared, once
-    leads: dict[str, int] = {}  # the first nonzero entry of each cleared row
     for name, value in points.items():
         if name in table:
             raise ConfigurationError(f"duplicate point name {name!r}")
-        pt = value if isinstance(value, ProjPoint) else ProjPoint(str(name), linalg.vec(value))
+        pt = value if isinstance(value, ProjPoint) else ProjPoint(str(name), value)
         if pt.name != name:
             raise ConfigurationError(f"point table key {name!r} does not match point name {pt.name!r}")
-        if len(pt.coords) != dim + 1:
+        if len(pt.row) != dim + 1:
             raise ConfigurationError(
-                f"point {name!r}: expected {dim + 1} coordinates, got {len(pt.coords)}"
+                f"point {name!r}: expected {dim + 1} coordinates, got {len(pt.row)}"
             )
         table[name] = pt
-        row = cleared[name] = linalg.clear_denominators(pt.coords)[0]
-        leads[name] = next(filter(None, row))
 
     ell: int | None = None
     counts: list[dict[RTuple, int]] = []
@@ -251,6 +283,11 @@ def build_configuration(
     # elimination placed it in.  Spans are interned, so id(S) names S and hashes in C.
     facts: dict[str, dict[int, list[int]]] = {name: {} for name in table}
     proven: dict[int, Subspace] = {}
+    if arity == dim + 1:  # every tuple spans the whole space, whose echelon basis is the identity
+        whole = Subspace(linalg.identity(arity))
+        interned[tuple(map(tuple, whole.scaled[1]))] = proven[id(whole)] = whole
+        for name, pt in table.items():
+            facts[name][id(whole)] = list(pt.row)
     for c, color in enumerate(colors):
         tuples: list[RTuple] = list(color)
         if set(map(type, tuples)) - {tuple}:
@@ -292,19 +329,19 @@ def build_configuration(
                     # copies from r = 3 on, where Bareiss overwrites its rows
                     minor = linalg.integer_det([fact[key] if arity < 3 else fact[key][:] for fact in known])
                 else:
-                    span, minor = _span([cleared[name] for name in t], interned) or (None, 0)
+                    span, minor = _span([table[name].row for name in t], interned) or (None, 0)
                     if minor:
                         key = id(span)
                         proven[key] = span
                         for name, fact in zip(t, known):
-                            row = cleared[name]
+                            row = table[name].row
                             fact[key] = [row[p] for p in span.pivots]
                 if not minor:
                     raise ConfigurationError(f"colors[{c}][{k}]: dependent r-tuple {t}")
                 spans[t] = span
                 lead_product = 1
                 for name in t:
-                    lead_product *= leads[name]
+                    lead_product *= table[name].lead
                 brackets[t] = minor, lead_product
         # a Counter keeps first-insertion order, so counting the sorted list keeps it sorted
         counts.append(dict(Counter(sorted(tuples))))
@@ -325,7 +362,7 @@ def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
     known = cfg.spans.get(t)
     if known is not None:
         return known
-    found = _span([linalg.clear_denominators(cfg.points[name].coords)[0] for name in t], {})
+    found = _span([cfg.points[name].row for name in t], {})
     if found is None:
         raise ConfigurationError(f"dependent r-tuple {t}")
     return found[0]
@@ -529,7 +566,7 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         raise fail(f"weight: {exc}") from None
 
     points: dict[str, ProjPoint] = {}
-    texts: dict[str, Fraction] = {}  # each distinct coordinate text, read once
+    texts: dict[str, int | Fraction] = {}  # each distinct coordinate text, read once
     for name, coords in doc["points"].items():
         if not isinstance(coords, list):
             raise fail(f"points[{name!r}]: must be a list of rationals")
@@ -537,10 +574,13 @@ def parse_configuration(text: str, source: str = "<string>") -> Configuration:
         for k, v in enumerate(coords):
             x = texts.get(v) if type(v) is str else None
             if x is None:
-                try:
-                    x = _rational(v)
-                except ConfigurationError as exc:
-                    raise fail(f"points[{name!r}][{k}]: {exc}") from None
+                if type(v) is str and len(v) <= MAX_RATIONAL_CHARS and _PLAIN_INTEGER.fullmatch(v):
+                    x = int(v)  # the value parse_rational reads, without a Fraction
+                else:
+                    try:
+                        x = _rational(v)
+                    except ConfigurationError as exc:
+                        raise fail(f"points[{name!r}][{k}]: {exc}") from None
                 if type(v) is str:
                     texts[v] = x
             values.append(x)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -226,21 +226,22 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
     Source points with the same projective image are merged under one name and
     one representative vector; the invariant class is unchanged.
 
-    The map runs on integers.  Row i of the matrix is a_i / e_i and a point
-    is u / D, with a_i, u integer rows, so image coordinate i is the exact
-    rational (a_i . u) / (e_i D).  The integer row w = (a_i . u)_i differs
-    from the image by the same diagonal scaling for every point, so the
-    ranks of images and which points share a projective image are read off w.
+    The map runs on integers.  The matrix is A / E, with E the lcm of its
+    denominators and A an integer matrix, and a point is u / D, with u its
+    integer row, so the image is the integer row w = A·u over E·D, which
+    ``ProjPoint.from_row`` reduces by one gcd.  The ranks of images and
+    which points share a projective image are read off w.
     """
     rows = morphism.matrix
     if len(rows[0]) != cfg.dim + 1:
         raise MorphismError(
             f"matrix has {len(rows[0])} columns, expected {cfg.dim + 1}"
         )
-    cleared = [linalg.clear_denominators(row) for row in rows]
+    common = lcm(*[x.denominator for row in rows for x in row])
+    matrix = [[x.numerator * (common // x.denominator) for x in row] for row in rows]
 
     def integer_image(u: Sequence[int]) -> list[int]:
-        return [sum(map(mul, a, u)) for a, _ in cleared]
+        return [sum(map(mul, a, u)) for a in matrix]
 
     for subspace in cfg.subspaces():
         # the images of the rows D·R: scaling a row by D leaves the rank as it is
@@ -248,21 +249,21 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
         if len(linalg.integer_echelon_minor(images)[1]) != cfg.arity:
             raise MorphismError(f"matrix is not injective on {subspace}")
 
-    image_vectors: dict[str, Vector] = {}
+    image_rows: dict[str, tuple[list[int], int]] = {}  # each image as an integer row over a denominator
     groups: dict[tuple[int, ...], list[str]] = {}
     for name in sorted(cfg.points):
-        u, d = linalg.clear_denominators(cfg.points[name].coords)
-        w = integer_image(u)
+        pt = cfg.points[name]
+        w = integer_image(pt.row)
         if not any(w):
             raise MorphismError(f"point {name!r} maps to the zero vector")
-        image_vectors[name] = tuple(Fraction(x, e * d) for x, (_, e) in zip(w, cleared))
+        image_rows[name] = w, common * pt.denominator
         # w divided by its gcd, signed so that its lead is positive, keys its projective point
         g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
         key = tuple(x // g for x in w)
         groups.setdefault(key, []).append(name)
 
     rename: dict[str, str] = {}
-    image_points: dict[str, Vector] = {}
+    points: dict[str, ProjPoint] = {}
     used = set()
     for key in sorted(groups, key=lambda k: groups[k][0]):
         names = groups[key]
@@ -270,10 +271,9 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
         used.add(merged)
         for n in names:
             rename[n] = merged
-        image_points[merged] = image_vectors[names[0]]
+        points[merged] = ProjPoint.from_row(merged, *image_rows[names[0]])
 
     new_colors = [[tuple(rename[m] for m in t) for t in color] for color in cfg.colors]
-    points = {name: ProjPoint(name, coords) for name, coords in image_points.items()}
     new_dim = len(rows) - 1
     try:
         return build_configuration(cfg.weight, cfg.arity, new_dim, new_colors, points)

@@ -28,6 +28,7 @@ from eves import (
 from eves import configuration, linalg
 from eves.invariant import LinearMorphism, apply_morphism, eves_invariant
 from eves.reconstruct import restrict_pair
+from eves.wps import parse_rational
 from conftest import random_h_configuration, random_invertible_matrix, random_simplex_configuration
 
 
@@ -313,6 +314,127 @@ class TestSubspaceHash:
         assert all(span.basis == basis for span, basis in keys.items())
 
 
+point_entries = st.one_of(
+    st.just(0),
+    st.just(F(0)),
+    st.integers(-3, 3),
+    st.integers(-BIG, BIG),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+def one_point_document(name, texts):
+    """A weight-(1,1) file whose one tuple is the point itself (arity 1)."""
+    return json.dumps({"field": "rational", "weight": [1, 1], "arity": 1, "dim": len(texts) - 1,
+                       "points": {name: texts}, "colors": [[[name]], [[name]]]})
+
+
+class TestPointRows:
+    """A point is kept as its cleared integer row, over the lcm of its denominators."""
+
+    @given(st.lists(point_entries, min_size=1, max_size=5).filter(any), st.integers(1, BIG))
+    def test_row_coords_equality_and_hash(self, values, k):
+        coords = linalg.vec(values)
+        pt = ProjPoint("p", values)
+        assert pt.coords == coords and {type(x) for x in pt.coords} == {F}
+        d = math.lcm(*[x.denominator for x in coords])
+        assert (pt.row, pt.denominator) == (tuple(x * d for x in coords), d)
+        assert pt.lead == next(filter(None, pt.row))
+        ints = [x.numerator if x.denominator == 1 else x for x in coords]
+        parsed = parse_configuration(one_point_document("p", [str(x) for x in coords])).points["p"]
+        scaled = ProjPoint.from_row("p", [x * k for x in pt.row], d * k)
+        same = [pt, ProjPoint("p", coords), ProjPoint("p", ints), parsed, scaled]
+        assert all(q == pt and hash(q) == hash(pt) and q.coords == coords for q in same)
+        assert len(set(same)) == 1
+        assert ProjPoint("q", values) != pt
+        assert ProjPoint("p", [2 * x for x in coords]) != pt
+
+    def test_point_is_immutable(self):
+        pt = ProjPoint("p", (1, F(1, 2)))
+        for name in ("name", "coords", "row", "lead"):
+            with pytest.raises(AttributeError):
+                setattr(pt, name, None)
+            with pytest.raises(AttributeError):
+                delattr(pt, name)
+        assert (pt.name, pt.coords, pt.row, pt.denominator, pt.lead) == ("p", (F(1), F(1, 2)), (2, 1), 2, 2)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ProjPoint("z", (0, F(0), 0)), "point 'z': zero vector is not a projective point"),
+        (lambda: ProjPoint("z", ()), "point 'z': zero vector is not a projective point"),
+        (lambda: ProjPoint.from_row("z", (0, 0), 5), "point 'z': zero vector is not a projective point"),
+        (lambda: ProjPoint("", (1, 2)), "point name must be non-empty"),
+        (lambda: build_configuration(Weight((1, 1)), 1, 1, [[("a",)], [("a",)]], {"a": (1, 2, 3)}),
+         "point 'a': expected 2 coordinates, got 3"),
+        (lambda: parse_configuration(one_point_document("a", ["0", "0/5"])),
+         "<string>: point 'a': zero vector is not a projective point"),
+        (lambda: parse_configuration(one_point_document("", ["1", "2"])), "<string>: point name must be non-empty"),
+    ])
+    def test_refusals_keep_their_messages(self, build, message):
+        with pytest.raises(ConfigurationError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+FULL_ARITY_FIXTURES = [
+    "cross_ratio_quadruple.json", "area_ratio_five_points.json", "area_ratio_six_points.json",
+    "octahedral_conic.json", "octahedral_generic_S.json", "octahedral_generic_T.json",
+    "segment_pair_aligned.json", "segment_pair_opposed.json",
+]
+
+
+def full_arity_corpus(fixtures_dir):
+    rng = random.Random(12)
+    cfgs = [load_configuration(fixtures_dir / name) for name in FULL_ARITY_FIXTURES]
+    return cfgs + [random_simplex_configuration(rng, dim=dim) for dim in (1, 2, 3) for _ in range(8)]
+
+
+class TestFullArity:
+    """At arity dim+1 every tuple spans the whole space and is bracketed by one determinant."""
+
+    def test_no_elimination_and_minors_of_one_elimination(self, fixtures_dir, monkeypatch):
+        for cfg in full_arity_corpus(fixtures_dir):
+            assert cfg.arity == cfg.dim + 1
+            eliminations = count_calls(monkeypatch, linalg, "integer_echelon_minor")
+            built = build_configuration(cfg.weight, cfg.arity, cfg.dim, cfg.colors, cfg.points)
+            assert eliminations == []
+            assert {s.basis for s in built.spans.values()} == {linalg.identity(cfg.arity)}
+            assert len(built.subspaces()) == 1
+            for t, (minor, leads) in built.brackets.items():
+                rows = [linalg.clear_denominators(built.points[name].coords)[0] for name in t]
+                assert minor == linalg.integer_echelon_minor(rows)[2] != 0
+                assert leads == math.prod(next(filter(None, row)) for row in rows)
+            assert (built.counts, built.brackets) == (cfg.counts, cfg.brackets)
+
+    def test_parse_and_morphism_eliminate_only_the_injectivity_check(self, fixtures_dir, monkeypatch):
+        eliminations = count_calls(monkeypatch, linalg, "integer_echelon_minor")
+        cfg = load_configuration(fixtures_dir / "octahedral_generic_S.json")
+        assert eliminations == []
+        m = ((F(1, 2), F(0), F(1)), (F(0), F(2, 3), F(0)), (F(1), F(1), F(5, 7)))
+        apply_morphism(cfg, LinearMorphism(m))
+        assert len(eliminations) == 1
+
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("kind", ["repeated", "proportional"])
+    def test_dependent_tuple_named_by_position(self, fixtures_dir, at, kind):
+        for name in ("octahedral_generic_S.json", "cross_ratio_quadruple.json"):
+            cfg = load_configuration(fixtures_dir / name)
+            points = dict(cfg.points)
+            colors = [list(color) for color in cfg.colors]
+            c, k = at
+            first, *rest = colors[c][k]
+            if kind == "repeated":
+                bad = (first, first, *rest[1:])
+            else:
+                points["twice"] = ProjPoint("twice", [-2 * x for x in cfg.points[first].coords])
+                bad = (first, "twice", *rest[1:])
+            colors[c][k] = bad
+            message = f"colors[{c}][{k}]: dependent r-tuple {bad!r}"
+            with pytest.raises(ConfigurationError) as caught:
+                build_configuration(cfg.weight, cfg.arity, cfg.dim, colors, points)
+            assert str(caught.value) == message
+
+
 class TestDegrees:
     def test_cross_ratio_degrees(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
@@ -535,6 +657,24 @@ class TestCoordinateTexts:
         with pytest.raises(ConfigurationError) as caught:
             self.parse({"a": ["1", 1, "2"], "b": ["2", entry, "1"]})
         assert str(caught.value) == f"<string>: points['b'][1]: {problem}"
+
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "007", "-007", " 5 ", "+5", "1_000", "\u0663", "3/4", "5/-7", "9" * 4096,
+        "-" + "9" * 4095, "-" + "9" * 4096, "9" * 4097, "1/0",
+    ], ids=range(15))
+    def test_texts_read_as_parse_rational_reads_them(self, text):
+        # a plain ASCII integer is read to an int, every other text by parse_rational
+        try:
+            expected = parse_rational(text)
+        except ValueError as exc:
+            with pytest.raises(ConfigurationError) as caught:
+                self.parse({"B": ["2", "1", "1"], "A": ["1", text, "0"]})
+            assert str(caught.value) == f"<string>: points['A'][1]: {exc}"
+            return
+        cfg = self.parse({"B": ["0", "1", "1"], "A": ["1", text, "0"], "C": [text, text, "1"]})
+        assert cfg.points["A"].coords == (F(1), expected, F(0))
+        assert cfg.points["A"] == ProjPoint("A", (F(1), expected, F(0)))
+        assert cfg.points["C"].coords[:2] == (expected, expected)
 
     def test_integer_entries_are_read(self):
         cfg = self.parse({"a": ["1", 1, 2], "b": [2, "1", "2/3"]})

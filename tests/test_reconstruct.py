@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eves import (
     CompareReport,
@@ -25,7 +26,7 @@ from eves import (
     validate_h,
     wps_equivalent,
 )
-from eves import reconstruct
+from eves import linalg, reconstruct
 from eves.configuration import RTuple
 from eves.invariant import bracket, canonical_point_reps
 from eves.reconstruct import projection_vector, render_compare, render_reconstruction
@@ -542,6 +543,23 @@ class TestMemberOrder:
                     assert equal is (math.lcm(parts[i], parts[j]) // parts[c] % 2 == 0)
                 else:
                     assert equal
+
+
+class TestTransformRoundTrip:
+    """An invertible map keeps the invariant's class: the image compares equivalent to its source."""
+
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_image_compares_equivalent(self, seed, simplex):
+        rng = random.Random(seed)
+        cfg = random_simplex_configuration(rng) if simplex else random_h_configuration(rng)
+        n = cfg.dim + 1
+        dens = rng.sample(range(1, 13), n)  # each row over its own denominator
+        m = tuple(tuple(x / d for x in row) for row, d in zip(random_invertible_matrix(rng, n), dens))
+        image = apply_morphism(cfg, LinearMorphism(m))
+        # each image point is the exact image of a source point (points with one image merge)
+        assert {pt.coords for pt in image.points.values()} <= {linalg.mat_vec(m, pt.coords) for pt in cfg.points.values()}
+        report = compare(cfg, image)
+        assert report.ep_equivalent and report.reconstruction_equal
 
 
 class TestRendering:
