@@ -11,9 +11,7 @@ from .configuration import (
     configuration_to_json,
     load_configuration,
     parse_configuration,
-    point_degree,
     span_of,
-    subspace_degree,
     validate_h,
 )
 from .invariant import (
@@ -33,12 +31,9 @@ from .invariant import (
     triangle_ratio,
 )
 from .numtheory import (
-    CongruenceSystem,
-    crt_solve,
     ext_gcd,
     integer_nth_root,
     rational_nth_roots,
-    root_power_count,
 )
 from .reconstruct import (
     CompareReport,
@@ -57,7 +52,6 @@ from .wps import (
     WeightedPoint,
     apply_axis_projection,
     canonical_axis_projection,
-    factor_through_h,
     is_reconstructible,
     nonreconstructible_witness,
     product_map,

@@ -247,8 +247,8 @@ def build_configuration(
     minor an elimination would return, and it is zero exactly when the rows
     are dependent.  Only recorded facts are looked up, so a tuple sharing no
     span with earlier ones costs one elimination, as before.  At full arity
-    (r = dim + 1) every tuple spans the whole space, so every point's row is
-    recorded in it up front and no tuple is eliminated.
+    (r = dim + 1) every tuple spans the whole space, so the first tuple read
+    records every point's row in it and no tuple is eliminated.
     """
     if arity < 1:
         raise ConfigurationError("arity must be >= 1")
@@ -283,11 +283,6 @@ def build_configuration(
     # elimination placed it in.  Spans are interned, so id(S) names S and hashes in C.
     facts: dict[str, dict[int, list[int]]] = {name: {} for name in table}
     proven: dict[int, Subspace] = {}
-    if arity == dim + 1:  # every tuple spans the whole space, whose echelon basis is the identity
-        whole = Subspace(linalg.identity(arity))
-        interned[tuple(map(tuple, whole.scaled[1]))] = proven[id(whole)] = whole
-        for name, pt in table.items():
-            facts[name][id(whole)] = list(pt.row)
     for c, color in enumerate(colors):
         tuples: list[RTuple] = list(color)
         if set(map(type, tuples)) - {tuple}:
@@ -324,6 +319,14 @@ def build_configuration(
                 for fact in known[1:]:
                     shared = filter(fact.__contains__, shared)
                 key = next(shared, None)
+                if key is None and arity == dim + 1:
+                    # the first tuple read: every tuple spans the whole space, whose
+                    # echelon basis is the identity, and every point lies in it
+                    whole = Subspace(linalg.identity(arity))
+                    key = id(whole)
+                    proven[key] = whole
+                    for name, pt in table.items():
+                        facts[name][key] = list(pt.row)
                 if key is not None:
                     span = proven[key]
                     # copies from r = 3 on, where Bareiss overwrites its rows
@@ -366,25 +369,6 @@ def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
     if found is None:
         raise ConfigurationError(f"dependent r-tuple {t}")
     return found[0]
-
-
-def _color(cfg: Configuration, c: int) -> dict[RTuple, int]:
-    """The counts of color c; an index that is not an ``int`` in range, a ``bool`` included, is refused."""
-    if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < len(cfg.counts):
-        raise ConfigurationError(f"color index {c!r} is not in range({len(cfg.counts)})")
-    return cfg.counts[c]
-
-
-def point_degree(cfg: Configuration, name: str, c: int) -> int:
-    """How many color-c tuples contain the named point (with multiplicity)."""
-    if not isinstance(name, str) or name not in cfg.points:
-        raise ConfigurationError(f"unknown point name {name!r}")
-    return sum(k for t, k in _color(cfg, c).items() if name in t)
-
-
-def subspace_degree(cfg: Configuration, subspace: Subspace, c: int) -> int:
-    """How many color-c tuples span the given subspace (with multiplicity)."""
-    return sum(k for t, k in _color(cfg, c).items() if cfg.spans[t] == subspace)
 
 
 @dataclass(frozen=True)

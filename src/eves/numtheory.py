@@ -1,9 +1,7 @@
-"""Integer and rational primitives: extended gcd, exact roots, congruence systems."""
+"""Integer and rational primitives: the extended gcd and exact integer and rational roots."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -74,55 +72,3 @@ def rational_nth_roots(q: Fraction, n: int) -> set[Fraction]:
     r = Fraction(num, den)
     return {r, -r} if n % 2 == 0 else {r}
 
-
-def root_power_count(p: int, n: int) -> int:
-    """Number of distinct p-th powers among the n-th roots of a nonzero complex number."""
-    if p < 1 or n < 1:
-        raise ValueError("arguments must be positive")
-    return math.lcm(p, n) // p
-
-
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """A nonempty list of congruences x = k (mod b) with each modulus b >= 1."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple((int(k), int(b)) for k, b in self.entries)
-        if not entries:
-            raise ValueError("congruence system must be non-empty")
-        if any(b < 1 for _, b in entries):
-            raise ValueError("moduli must be >= 1")
-        object.__setattr__(self, "entries", entries)
-
-
-def is_compatible(system: CongruenceSystem) -> bool:
-    """Pairwise solvability test: residues must agree modulo the gcd of each modulus pair."""
-    entries = system.entries
-    for idx in range(len(entries)):
-        k_i, b_i = entries[idx]
-        for k_j, b_j in entries[idx + 1 :]:
-            if (k_i - k_j) % math.gcd(b_i, b_j) != 0:
-                return False
-    return True
-
-
-def crt_solve(system: CongruenceSystem) -> tuple[int, int] | None:
-    """Least non-negative x satisfying every congruence, with the lcm modulus.
-
-    Returns None exactly when the pairwise compatibility test fails; for
-    non-coprime moduli that test is equivalent to solvability.
-    """
-    if not is_compatible(system):
-        return None
-    x, m = system.entries[0]
-    x %= m
-    for k, b in system.entries[1:]:
-        g, s, _ = ext_gcd(m, b)
-        diff = k - x
-        # compatible systems always fold: diff is a multiple of g here
-        combined = m // g * b
-        x = (x + m * (diff // g) * s) % combined
-        m = combined
-    return x, m

@@ -2,12 +2,11 @@
 
 Nothing here shares computational routines with the main pipeline: the scalar
 search tries every bounded rational directly against the defining equations,
-the congruence search scans the full residue range, the finite-field
-enumeration builds equivalence classes as orbits, and the invariant is
-re-evaluated with cofactor determinants, Cramer solves, and a different
-representative normalization.  Admissibility is recounted from the list view
-``Configuration.colors``, one occurrence at a time, over the oracle's own span
-groups, so the stored multiplicities are checked end to end.
+the finite-field enumeration builds equivalence classes as orbits, and the
+invariant is re-evaluated with cofactor determinants, Cramer solves, and a
+different representative normalization.  Admissibility is recounted from the
+list view ``Configuration.colors``, one occurrence at a time, over the
+oracle's own span groups, so the stored multiplicities are checked end to end.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from itertools import combinations, product
 
 from .configuration import Configuration, DegreeReport, RTuple
 from .invariant import InvariantValue, NotHConfigurationError
-from .numtheory import CongruenceSystem
 from .wps import Weight, WeightedPoint
 
 
@@ -62,18 +60,6 @@ def bounded_lambda_search(z: WeightedPoint, w: WeightedPoint, height: int = 64) 
             else:
                 return True
     return False
-
-
-def exhaustive_crt(system: CongruenceSystem, limit: int = 100_000) -> tuple[int, int] | None:
-    """Scan 0..lcm-1 for the least solution of the congruence system."""
-    moduli = [b for _, b in system.entries]
-    total = math.lcm(*moduli)
-    if total > limit:
-        raise ValueError(f"combined modulus {total} exceeds the exhaustive bound {limit}")
-    for x in range(total):
-        if all((x - k) % b == 0 for k, b in system.entries):
-            return x, total
-    return None
 
 
 def _is_prime(q: int) -> bool:

@@ -171,16 +171,6 @@ def apply_axis_projection(spec: AxisProjectionSpec, z: WeightedPoint) -> Weighte
     return WeightedPoint((zi**spec.a, zj**spec.b), Weight((1, 1), z.weight.field))
 
 
-def factor_through_h(spec: AxisProjectionSpec, p: Weight) -> int:
-    """The multiplier k with p_i*a == p_j*b == k * lcm(p_i, p_j)."""
-    parts = p.parts
-    if spec.j >= len(parts):
-        raise ValueError("projection indices out of range for this weight")
-    if parts[spec.i] * spec.a != parts[spec.j] * spec.b:
-        raise ValueError("exponents do not match the weight: p_i*a != p_j*b")
-    return (parts[spec.i] * spec.a) // math.lcm(parts[spec.i], parts[spec.j])
-
-
 def index_pairs(p: Weight) -> tuple[tuple[int, int], ...]:
     """All coordinate pairs (i, j) with i < j, in lexicographic order."""
     return tuple(combinations(range(len(p.parts)), 2))

@@ -20,14 +20,12 @@ from eves import (
     configuration_to_json,
     load_configuration,
     parse_configuration,
-    point_degree,
     span_of,
-    subspace_degree,
     validate_h,
 )
 from eves import configuration, linalg
 from eves.invariant import LinearMorphism, apply_morphism, eves_invariant
-from eves.reconstruct import restrict_pair
+from eves.reconstruct import restrict_pair, unit_weight_expansion
 from eves.wps import parse_rational
 from conftest import random_h_configuration, random_invertible_matrix, random_simplex_configuration
 
@@ -434,53 +432,56 @@ class TestFullArity:
                 build_configuration(cfg.weight, cfg.arity, cfg.dim, colors, points)
             assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "parts, colors, message",
+        [
+            ((1, 1), [[], []], "colors[0]: empty color list (ell would be 0)"),
+            ((2, 1), [[("a",)], [("a",)]], "colors[0]: list length 1 is not divisible by weight part 2"),
+            ((1, 1), [[("a", "b")], [("a", "b")]], "colors[0][0]: tuple has 2 members, expected 3001"),
+            ((1, 1), [[tuple(f"p{k}" for k in range(3001))], []], "colors[0][0]: unknown point name 'p0'"),
+        ],
+        ids=["empty", "indivisible", "short", "unknown"],
+    )
+    def test_whole_span_not_built_for_a_refused_input(self, monkeypatch, parts, colors, message):
+        # a tiny file declaring a huge full arity is refused before any dim² work
+        identities = count_calls(monkeypatch, linalg, "identity")
+        with pytest.raises(ConfigurationError) as caught:
+            build_configuration(Weight(parts), 3001, 3000, colors, {})
+        assert str(caught.value) == message
+        assert identities == []
+
 
 class TestDegrees:
     def test_cross_ratio_degrees(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
-        assert point_degree(cfg, "alpha", 0) == 1
-        assert point_degree(cfg, "alpha", 1) == 1
+        report = validate_h(cfg)
+        assert report.point_degrees["alpha"][0] == 1
+        assert report.point_degrees["alpha"][1] == 1
         line = cfg.spans[cfg.colors[0][0]]
-        assert subspace_degree(cfg, line, 0) == 2
-        assert subspace_degree(cfg, line, 1) == 2
+        assert report.subspace_degrees[line][0] == 2
+        assert report.subspace_degrees[line][1] == 2
 
     def test_chain_fixture_e_degree(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
-        assert point_degree(cfg, "E", 0) == 2
-        assert point_degree(cfg, "E", 1) == 2
-        assert validate_h(cfg).h_valid
+        report = validate_h(cfg)
+        assert report.point_degrees["E"][0] == 2
+        assert report.point_degrees["E"][1] == 2
+        assert report.h_valid
 
     def test_six_points_whole_plane_degree(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "area_ratio_six_points.json")
         whole = Subspace(linalg.identity(3))
-        assert subspace_degree(cfg, whole, 0) == 2
-        assert subspace_degree(cfg, whole, 1) == 2
+        degrees = validate_h(cfg).subspace_degrees
+        assert degrees[whole][0] == 2
+        assert degrees[whole][1] == 2
 
     def test_absent_point_and_subspace(self, fixtures_dir):
         pts = {**line_points(0, 1), "lonely": (F(1), F(9))}
         cfg = build_configuration(Weight((1, 1)), 2, 1, [[("t0", "t1")], [("t0", "t1")]], pts)
-        assert point_degree(cfg, "lonely", 0) == 0
-        with pytest.raises(ConfigurationError):
-            point_degree(cfg, "missing", 0)
+        assert validate_h(cfg).point_degrees["lonely"][0] == 0
         other = Subspace(((F(1), F(0), F(0)), (F(0), F(1), F(0))))
         six = load_configuration(fixtures_dir / "area_ratio_six_points.json")
-        assert subspace_degree(six, other, 0) == 0
-
-    @pytest.mark.parametrize("name", [["a"], ("a",), 1, None], ids=["list", "tuple", "int", "none"])
-    def test_name_not_a_str_refused(self, name):
-        cfg = unit_pair()
-        with pytest.raises(ConfigurationError, match="unknown point name"):
-            point_degree(cfg, name, 0)
-
-    @pytest.mark.parametrize("c", [2, 5, -1, -3, True, False, 0.0, "0", None])
-    def test_color_index_out_of_range_refused(self, c):
-        cfg = unit_pair()
-        span = cfg.spans[("a", "b")]
-        with pytest.raises(ConfigurationError, match="color index"):
-            point_degree(cfg, "a", c)
-        with pytest.raises(ConfigurationError, match="color index"):
-            subspace_degree(cfg, span, c)
-        assert point_degree(cfg, "a", 1) == subspace_degree(cfg, span, 1) == 1
+        assert other not in validate_h(six).subspace_degrees
 
     def test_degrees_independent_of_input_order(self):
         pts = line_points(0, 1, 2, 3)
@@ -489,9 +490,10 @@ class TestDegrees:
         c1 = build_configuration(Weight((1, 1)), 2, 1, lists, pts)
         c2 = build_configuration(Weight((1, 1)), 2, 1, shuffled, pts)
         assert c1 == c2
+        d1, d2 = validate_h(c1).point_degrees, validate_h(c2).point_degrees
         for name in pts:
             for c in range(2):
-                assert point_degree(c1, name, c) == point_degree(c2, name, c)
+                assert d1[name][c] == d2[name][c]
 
 
 class TestValidateH:
@@ -537,7 +539,9 @@ class TestValidateH:
             cfg = random_h_configuration(rng)
             m = LinearMorphism(random_invertible_matrix(rng, cfg.dim + 1))
             image = apply_morphism(cfg, m)
-            assert validate_h(image).h_valid
+            image_report = validate_h(image)
+            assert image_report.h_valid
+            degrees, image_degrees = validate_h(cfg).point_degrees, image_report.point_degrees
             # degree sums over preimages, computed through the matrix directly
             image_of = {
                 name: linalg.scale_first_nonzero(linalg.mat_vec(m.matrix, pt.coords))
@@ -548,17 +552,19 @@ class TestValidateH:
                 preimages = [n for n, v in image_of.items() if v == key]
                 assert preimages
                 for c in range(len(cfg.colors)):
-                    total = sum(point_degree(cfg, n, c) for n in preimages)
-                    assert point_degree(image, img_name, c) == total
+                    total = sum(degrees[n][c] for n in preimages)
+                    assert image_degrees[img_name][c] == total
 
     def test_restriction_inherits_h(self):
         rng = random.Random(9)
-        for _ in range(25):
-            cfg = random_h_configuration(rng)
+        corpus = [family(rng) for family in (random_h_configuration, random_simplex_configuration) for _ in range(25)]
+        for cfg in corpus:
             n = len(cfg.weight.parts)
             for i in range(n):
                 for j in range(i + 1, n):
-                    assert validate_h(restrict_pair(cfg, i, j)).h_valid
+                    pair = restrict_pair(cfg, i, j)
+                    assert validate_h(pair).h_valid
+                    assert validate_h(unit_weight_expansion(pair)).h_valid
 
 
 class TestProvenSpans:

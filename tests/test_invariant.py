@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eves import (
     BasisChoice,
@@ -532,6 +533,59 @@ class TestMorphisms:
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
         with pytest.raises(MorphismError, match="columns"):
             apply_morphism(cfg, LinearMorphism(linalg.identity(3)))
+
+
+def seeded_family(seed: int, simplex: bool):
+    """The seeded generator and a draw of random admissible configurations of
+    one family, all with the same parts and dim."""
+    rng = random.Random(seed)
+    parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+    dim = rng.randint(1, 3)
+    family = random_simplex_configuration if simplex else random_h_configuration
+    return rng, lambda: family(rng, parts=parts, dim=dim)
+
+
+def renamed(cfg, prefix: str):
+    """The colour lists and point table of ``cfg`` with every point name prefixed."""
+    colors = [[tuple(prefix + name for name in t) for t in color] for color in cfg.colors]
+    return colors, {prefix + name: pt.coords for name, pt in cfg.points.items()}
+
+
+class TestMetamorphic:
+    """The paper's exact identities, coordinate by coordinate, on both random families."""
+
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_disjoint_union_multiplies(self, seed, simplex):
+        _, draw = seeded_family(seed, simplex)
+        a, b = draw(), draw()
+        colors_a, points_a = renamed(a, "a.")
+        colors_b, points_b = renamed(b, "b.")
+        union = build_configuration(
+            a.weight, a.arity, a.dim, [x + y for x, y in zip(colors_a, colors_b)], {**points_a, **points_b}
+        )
+        assert validate_h(union).h_valid
+        assert union.ell == a.ell + b.ell
+        product = tuple(x * y for x, y in zip(eves_invariant(a).point.coords, eves_invariant(b).point.coords))
+        assert eves_invariant(union).point.coords == product
+
+    @given(st.integers(0, 2**32), st.booleans(), st.integers(2, 3))
+    def test_repetition_powers(self, seed, simplex, k):
+        cfg = seeded_family(seed, simplex)[1]()
+        repeated = build_configuration(cfg.weight, cfg.arity, cfg.dim, [list(color) * k for color in cfg.colors], cfg.points)
+        assert validate_h(repeated).h_valid
+        assert repeated.ell == cfg.ell * k
+        assert eves_invariant(repeated).point.coords == tuple(z**k for z in eves_invariant(cfg).point.coords)
+
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_colour_permutation_permutes_coordinates(self, seed, simplex):
+        rng, draw = seeded_family(seed, simplex)
+        cfg = draw()
+        order = rng.sample(range(len(cfg.colors)), len(cfg.colors))
+        weight = Weight(tuple(cfg.weight.parts[c] for c in order))
+        permuted = build_configuration(weight, cfg.arity, cfg.dim, [cfg.colors[c] for c in order], cfg.points)
+        assert validate_h(permuted).h_valid
+        coords = eves_invariant(cfg).point.coords
+        assert eves_invariant(permuted).point.coords == tuple(coords[c] for c in order)
 
 
 class TestCrossRatio:

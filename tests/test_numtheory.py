@@ -5,16 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eves.numtheory import (
-    CongruenceSystem,
-    crt_solve,
-    ext_gcd,
-    integer_nth_root,
-    is_compatible,
-    rational_nth_roots,
-    root_power_count,
-)
-from eves.oracle import exhaustive_crt
+from eves.numtheory import ext_gcd, integer_nth_root, rational_nth_roots
 
 
 class TestExtGcd:
@@ -101,57 +92,3 @@ class TestRationalNthRoots:
         assert r0 in roots
         assert all(r**n == q for r in roots)
         assert len(roots) == (2 if n % 2 == 0 else 1)
-
-
-class TestRootPowerCount:
-    def test_worked_examples(self):
-        assert root_power_count(2, 4) == 2
-        assert root_power_count(1, 17) == 17
-        assert root_power_count(3, 6) == 2
-
-    def test_matches_exponent_orbit_enumeration(self):
-        for p in range(1, 51):
-            for n in range(1, 51):
-                orbit = {(j * p) % n for j in range(n)}
-                assert root_power_count(p, n) == len(orbit)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            root_power_count(0, 3)
-
-
-class TestCrtSolve:
-    def test_worked_examples(self):
-        assert crt_solve(CongruenceSystem(((1, 2), (2, 3)))) == (5, 6)
-        assert crt_solve(CongruenceSystem(((3, 7),))) == (3, 7)
-        assert crt_solve(CongruenceSystem(((0, 2), (1, 2)))) is None
-
-    def test_system_validation(self):
-        with pytest.raises(ValueError):
-            CongruenceSystem(())
-        with pytest.raises(ValueError):
-            CongruenceSystem(((1, 0),))
-
-    def test_compatible_non_coprime(self):
-        system = CongruenceSystem(((2, 4), (6, 8)))
-        assert is_compatible(system)
-        x, m = crt_solve(system)
-        assert m == 8 and x == 6
-        assert all((x - k) % b == 0 for k, b in system.entries)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(-30, 30), st.integers(1, 30)),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_agrees_with_exhaustive_search(self, entries):
-        system = CongruenceSystem(tuple(entries))
-        if math.lcm(*[b for _, b in entries]) > 100_000:
-            return
-        assert crt_solve(system) == exhaustive_crt(system)
-
-    def test_least_nonnegative_normalization(self):
-        x, m = crt_solve(CongruenceSystem(((-1, 5), (-1, 3))))
-        assert (x, m) == (14, 15)

@@ -1,4 +1,3 @@
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -16,12 +15,10 @@ from eves import (
     wps_equivalent,
 )
 from eves import oracle
-from eves.numtheory import CongruenceSystem, crt_solve
 from eves.oracle import (
     bounded_lambda_search,
     brute_degrees,
     brute_invariant,
-    exhaustive_crt,
     ff_enumerate_classes,
     report_matches_recount,
 )
@@ -82,27 +79,6 @@ class TestBoundedLambdaSearch:
                 coords_w[k] *= 2
                 w = WeightedPoint(tuple(coords_w), weight)
             assert bounded_lambda_search(z, w, 16) == wps_equivalent(z, w)
-
-
-class TestExhaustiveCrt:
-    def test_matches_solver(self):
-        rng = random.Random(41)
-        checked = 0
-        while checked < 200:
-            entries = tuple(
-                (rng.randint(-20, 20), rng.randint(1, 25))
-                for _ in range(rng.randint(1, 4))
-            )
-            if math.lcm(*[b for _, b in entries]) > 100_000:
-                continue
-            system = CongruenceSystem(entries)
-            assert crt_solve(system) == exhaustive_crt(system)
-            checked += 1
-
-    def test_limit_enforced(self):
-        system = CongruenceSystem(((0, 97), (0, 89), (0, 83)))
-        with pytest.raises(ValueError, match="exceeds"):
-            exhaustive_crt(system, limit=1000)
 
 
 class TestFiniteFieldClasses:

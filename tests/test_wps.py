@@ -15,7 +15,6 @@ from eves.wps import (
     WeightedPoint,
     apply_axis_projection,
     canonical_axis_projection,
-    factor_through_h,
     index_pairs,
     is_reconstructible,
     nonreconstructible_witness,
@@ -234,14 +233,6 @@ class TestAxisProjections:
         with pytest.raises(ValueError):
             apply_axis_projection(AxisProjectionSpec(0, 1, 1, 2), wpt([1, 1], [1, 1]))
 
-    def test_factor_through_canonical(self):
-        w = Weight((2, 3))
-        assert factor_through_h(AxisProjectionSpec(0, 1, 3, 2), w) == 1
-        assert factor_through_h(AxisProjectionSpec(0, 1, 6, 4), w) == 2
-        assert factor_through_h(AxisProjectionSpec(0, 1, 5, 5), Weight((1, 1))) == 5
-        with pytest.raises(ValueError):
-            factor_through_h(AxisProjectionSpec(0, 1, 2, 2), w)
-
     def test_product_map_worked_examples(self):
         one_one = wpt([1, 1], [1, 1])
         for img in product_map(wpt([1, 1, 1], [2, 2, 4])):
@@ -376,3 +367,23 @@ class TestReconstructibility:
                 )
                 if images_equal:
                     assert wps_equivalent(z, w)
+
+    def test_contract_with_projections_agree(self):
+        # w = (e_k * lam**p_k * z_k) with random signs e_k: on a reconstructible weight,
+        # all projections agree exactly when z ~ w; an all-even weight has agreeing
+        # pairs that are not equivalent
+        rng = random.Random(2024)
+        reconstructible_agreeing = even_agreeing_inequivalent = 0
+        for _ in range(3000):
+            weight = Weight(tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 4))))
+            z = random_weighted_point(rng, weight)
+            lam = F(rng.choice([1, 2, 3, 5]), rng.randint(1, 3)) * rng.choice([1, -1])
+            signs = [rng.choice([1, -1]) for _ in weight.parts]
+            w = WeightedPoint(tuple(s * lam**p * c for s, p, c in zip(signs, weight.parts, z.coords)), weight)
+            agree, equivalent = all(projections_agree(z, w)), wps_equivalent(z, w)
+            if is_reconstructible(weight):
+                assert agree == equivalent, (z, w)
+                reconstructible_agreeing += agree
+            else:
+                even_agreeing_inequivalent += agree and not equivalent
+        assert reconstructible_agreeing > 0 and even_agreeing_inequivalent > 0
