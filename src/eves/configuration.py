@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .wps import MAX_RATIONAL_CHARS, _PLAIN_INTEGER, FieldKind, Weight, format_rational, parse_rational
+from .wps import MAX_RATIONAL_CHARS, _PLAIN_INTEGER, FieldKind, Weight, _int_text, format_rational, parse_rational
 
 
 # Input limits, checked before parsing; far above the fixtures and the benchmark's inputs
@@ -83,11 +84,6 @@ class ProjPoint:
     def coords(self) -> Vector:
         d = self.denominator
         return tuple(Fraction(x, d) for x in self.row)
-
-    @cached_property
-    def canonical_rep(self) -> Vector:
-        """The coordinates divided by their first nonzero entry, computed on first use."""
-        return linalg.scale_first_nonzero(self.coords)
 
 
 @dataclass(frozen=True)
@@ -329,8 +325,8 @@ def build_configuration(
                         facts[name][key] = list(pt.row)
                 if key is not None:
                     span = proven[key]
-                    # copies from r = 3 on, where Bareiss overwrites its rows
-                    minor = linalg.integer_det([fact[key] if arity < 3 else fact[key][:] for fact in known])
+                    # copies from r = 5 on, where Bareiss overwrites its rows
+                    minor = linalg.integer_det([fact[key] if arity < 5 else fact[key][:] for fact in known])
                 else:
                     span, minor = _span([table[name].row for name in t], interned) or (None, 0)
                     if minor:
@@ -623,14 +619,45 @@ def _load_matrix(path) -> Matrix:
     return rows
 
 
+def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """The text ``json.dumps(..., indent=2)`` gives a list (or, with brackets
+    "{}", an object) at nesting ``depth`` whose items are already written."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
 def configuration_to_json(cfg: Configuration) -> str:
-    """Serialize in the input file format, deterministically ordered."""
-    doc = {
-        "field": "rational",
-        "weight": list(cfg.weight.parts),
-        "arity": cfg.arity,
-        "dim": cfg.dim,
-        "points": {name: [format_rational(x) for x in cfg.points[name].coords] for name in sorted(cfg.points)},
-        "colors": [[list(t) for t in color] for color in cfg.colors],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize in the input file format, deterministically ordered.
+
+    The text is ``json.dumps(doc, indent=2)`` of the document plus a newline,
+    written with one join per list.  Each coordinate is printed from the
+    point's integer row u and its denominator D: u_k / D in lowest terms,
+    which is ``format_rational`` of the coordinate, with no ``Fraction``.
+    """
+    quoted = {name: encode_basestring_ascii(name) for name in sorted(cfg.points)}
+    points = []
+    for name, key in quoted.items():
+        pt = cfg.points[name]
+        d = pt.denominator
+        texts = []
+        for x in pt.row:
+            g = gcd(x, d)
+            texts.append(f'"{_int_text(x // g)}"' if g == d else f'"{_int_text(x // g)}/{_int_text(d // g)}"')
+        points.append(f"{key}: {_json_block(texts, 2)}")
+    colors = []
+    for color in cfg.counts:
+        tuples = []
+        for t, k in color.items():
+            tuples += [_json_block([quoted[name] for name in t], 3)] * k
+        colors.append(_json_block(tuples, 2))
+    fields = [
+        '"field": "rational"',
+        f'"weight": {_json_block(list(map(str, cfg.weight.parts)), 1)}',
+        f'"arity": {cfg.arity}',
+        f'"dim": {cfg.dim}',
+        f'"points": {_json_block(points, 1, "{}")}',
+        f'"colors": {_json_block(colors, 1)}',
+    ]
+    return _json_block(fields, 0, "{}") + "\n"

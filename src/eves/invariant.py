@@ -139,10 +139,6 @@ def _supplied_basis_det(span: Subspace, rows: Sequence[Sequence[Fraction]]) -> F
     return _basis_det(span, rows)
 
 
-def canonical_point_reps(cfg: Configuration) -> dict[str, Vector]:
-    return {name: pt.canonical_rep for name, pt in cfg.points.items()}
-
-
 def _require_h(cfg: Configuration) -> None:
     report = validate_h(cfg)
     if not report.h_valid:

@@ -6,13 +6,15 @@ Python integers: a row's denominators are cleared once by their lcm
 (``clear_denominators``), and two fraction-free (Bareiss) loops do the rest.
 ``integer_echelon_minor`` gives a span's primitive integer echelon rows, its
 pivots and its rank, and the determinant of independent rows at those pivots;
-``integer_det`` gives the determinant of a square matrix.  ``rref``, ``rank``
-and ``det`` are thin conversions over them that return rationals; ``rref``
-returns an input that already is a reduced basis after an O(r·n) scan, not a
-second elimination, since every ``configuration.Subspace`` checks its basis
-with it and most bases come reduced.  A span's own integer form (membership,
-and determinants in its echelon basis) lives on ``configuration.Subspace``.
-Only ``mat_vec`` and ``mat_mul`` compute on ``Fraction`` entries.
+``integer_det`` gives the determinant of a square matrix, in closed form up
+to 4×4 (every bracket of a configuration in P^3) and by elimination above.
+``rref``, ``rank`` and ``det`` are thin conversions over them that return
+rationals; ``rref`` returns an input that already is a reduced basis after an
+O(r·n) scan, not a second elimination, since every ``configuration.Subspace``
+checks its basis with it and most bases come reduced.  A span's own integer
+form (membership, and determinants in its echelon basis) lives on
+``configuration.Subspace``.  Only ``mat_vec`` and ``mat_mul`` compute on
+``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -145,15 +147,27 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def integer_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix: in closed form up to n = 2,
+    """Determinant of a square integer matrix: in closed form up to n = 4,
     by Bareiss elimination above.
 
-    The list may be overwritten.  Every division is exact: after step k each
+    The closed forms are the products of 2×2 minors: n = 3 expands along
+    the first row, n = 4 along the first two rows (Laplace: each of their
+    six 2×2 minors times its complementary minor in the last two rows).
+    They leave the rows as they are; from n = 5 on the rows may be
+    overwritten.  Every Bareiss division is exact: after step k each
     remaining entry is a (k+1)-order minor of the input.
     """
     n = len(m)
     if set(map(len, m)) - {n}:
         raise ValueError("determinant requires a square matrix")
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if n == 2:
         (a, b), (c, d) = m
         return a * d - b * c

@@ -11,9 +11,11 @@ The classical invariant of the pair (S_i, S_j), expanded to weight (1,1) by
 repeating each tuple of the lists lcm/p_i and lcm/p_j times, is
 [X_i^a : X_j^b], where X_c is the product of color c's brackets and (a, b)
 are the exponents of the projection.  So the check brackets each distinct
-tuple of the configuration once, through the public ``bracket``, on
-canonical representatives and with its membership check, rather than
-reading the table stored when the configuration was built.  It forms one
+tuple of the configuration once, through the public ``bracket`` with its
+membership check, rather than reading the table stored when the
+configuration was built.  It brackets the members' integer rows and divides
+by the product of their leads, which is the bracket of the canonical
+representatives, so it builds no ``Fraction`` coordinates.  It forms one
 product X_c per color from that table, and ``projections_agree`` checks one
 equation per pair.  Each pair's admissibility is still checked on its
 expansion, which shares the parent's points, tuples and spans and
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .configuration import Configuration, ConfigurationError
-from .invariant import _color_products, _require_h, bracket, canonical_point_reps, eves_invariant
+from .invariant import _color_products, _require_h, bracket, eves_invariant
 from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, projections_agree, wps_equivalent
 
 
@@ -112,13 +114,19 @@ def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bo
     axis projection of the weighted invariant ``full`` of ``cfg`` (it must,
     for admissible configurations).
 
-    Each distinct tuple is bracketed once, through ``bracket``, and each
-    color's product X_c of those brackets is formed once.  The expansion of
+    Each distinct tuple is bracketed once, through ``bracket`` on the
+    members' integer rows u, with its membership check; the canonical
+    representative is u over its lead, so the canonical bracket is that
+    bracket over the product of the members' leads.  Each color's product
+    X_c of those brackets is formed once.  The expansion of
     pair (i, j) is [X_i^a : X_j^b], so ``projections_agree(X, full)`` decides
     it; each expansion must pass the admissibility check before its verdict
     is read.  A ``full`` of another weight raises ``ValueError``."""
-    reps = canonical_point_reps(cfg)
-    brackets = {t: bracket(t, span, reps).as_integer_ratio() for t, span in cfg.spans.items()}
+    rows = {name: pt.row for name, pt in cfg.points.items()}
+    brackets = {
+        t: (bracket(t, span, rows).numerator, math.prod(cfg.points[name].lead for name in t))
+        for t, span in cfg.spans.items()
+    }
     agree = projections_agree(WeightedPoint(_color_products(cfg, brackets), cfg.weight), full)
     for (i, j), ok in zip(index_pairs(cfg.weight), agree):
         _require_h(unit_weight_expansion(restrict_pair(cfg, i, j)))

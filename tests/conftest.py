@@ -52,6 +52,12 @@ def projections_agree_by_equivalence(z: WeightedPoint, w: WeightedPoint) -> tupl
     return tuple(wps_equivalent(a, b) for a, b in zip(product_map(z), product_map(w)))
 
 
+def canonical_point_reps(cfg) -> dict:
+    """Each point's coordinates divided by their first nonzero entry: the
+    reference canonical representatives, built from ``Fraction`` coordinates."""
+    return {name: linalg.scale_first_nonzero(pt.coords) for name, pt in cfg.points.items()}
+
+
 def random_invertible_matrix(rng: random.Random, n: int) -> tuple:
     while True:
         m = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))

@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from eves import (
     Configuration,
@@ -26,7 +26,7 @@ from eves import (
 from eves import configuration, linalg
 from eves.invariant import LinearMorphism, apply_morphism, eves_invariant
 from eves.reconstruct import restrict_pair, unit_weight_expansion
-from eves.wps import parse_rational
+from eves.wps import MAX_RATIONAL_CHARS, format_rational, parse_rational
 from conftest import random_h_configuration, random_invertible_matrix, random_simplex_configuration
 
 
@@ -688,7 +688,53 @@ class TestCoordinateTexts:
         assert cfg.points["b"].coords == (F(2), F(1), F(2, 3))
 
 
+# names with JSON escapes, control and non-ASCII characters
+point_names = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\té€\U0001f600'), st.characters()), min_size=1, max_size=5)
+# coordinates: negative, with denominators, and with more digits than ``str`` of an int prints (4300)
+printed_entries = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-BIG, BIG),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.integers(10**4300, 10**4310).map(lambda n: -n),
+    st.builds(F, st.integers(10**4300, 10**4310), st.integers(2, BIG)),
+)
+
+
+@st.composite
+def printed_configurations(draw):
+    """Configurations of 1 to 4 points in P^0 to P^2, with tuples of one point or,
+    in P^1 and up, of two independent points."""
+    dim = draw(st.integers(0, 2))
+    names = draw(st.lists(point_names, min_size=1, max_size=4, unique=True))
+    points = {name: draw(st.lists(printed_entries, min_size=dim + 1, max_size=dim + 1).filter(any)) for name in names}
+    arity = draw(st.integers(1, min(2, dim + 1, len(names))))
+    parts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    ell = draw(st.integers(1, 2))
+    colors = [[tuple(draw(st.permutations(names))[:arity]) for _ in range(ell * p)] for p in parts]
+    try:
+        return build_configuration(Weight(tuple(parts)), arity, dim, colors, points)
+    except ConfigurationError:  # a dependent pair
+        assume(False)
+
+
 class TestFileFormat:
+    @given(printed_configurations())
+    def test_text_is_json_dumps_with_indent_two(self, cfg):
+        out = configuration_to_json(cfg)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        doc = {
+            "field": "rational",
+            "weight": list(cfg.weight.parts),
+            "arity": cfg.arity,
+            "dim": cfg.dim,
+            "points": {name: [format_rational(x) for x in cfg.points[name].coords] for name in sorted(cfg.points)},
+            "colors": [[list(t) for t in color] for color in cfg.colors],
+        }
+        assert out == json.dumps(doc, indent=2) + "\n"
+        texts = [x for coords in doc["points"].values() for x in coords]
+        if max(map(len, texts)) <= MAX_RATIONAL_CHARS:
+            assert parse_configuration(out) == cfg
+
     def test_round_trip_all_fixtures(self, fixtures_dir):
         for path in sorted(fixtures_dir.glob("*.json")):
             if path.name == "projection_matrix.json":

@@ -10,7 +10,9 @@ the expected results; after a deliberate change of output, rewrite it with
 
 At the benchmark's scale, ``BENCH_SCALE_DIGESTS`` pins the sha256 of the
 standard output of ``validate`` and ``invariant`` on a generated input of 1280
-tuples; a deliberate change of that output updates the two digests.
+tuples, and of ``transform`` on a generated input of 150 tuples of arity 4
+under a rational matrix; a deliberate change of that output updates the
+three digests.
 """
 
 from __future__ import annotations
@@ -102,24 +104,70 @@ def lines_document(rng: random.Random, n_lines: int, per_line: int, parts: tuple
     return {"field": "rational", "weight": list(parts), "arity": 2, "dim": 3, "points": points, "colors": colors}
 
 
-# sha256 of the stdout of validate and invariant on lines_document(random.Random(15), 40, 8)
+def simplex_document(rng: random.Random, n_points: int, parts: tuple[int, ...]) -> dict:
+    """``n_points`` random points of P^3 and tuples of arity 4, weight ``parts``.
+
+    Each point is a random integer row divided by a random 1 to 3.  Color c
+    holds p_c random partitions of the points into blocks of 4, each drawn
+    again until its blocks are independent, so every point has degree p_c.
+    """
+    from eves import linalg
+
+    points = {}
+    while len(points) < n_points:
+        row = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
+        if any(row):
+            points[f"s{len(points)}"] = row
+    names, colors = list(points), [[] for _ in parts]
+    for c, p in enumerate(parts):
+        for _ in range(p):
+            while True:
+                perm = rng.sample(names, n_points)
+                blocks = [perm[k : k + 4] for k in range(0, n_points, 4)]
+                if all(linalg.det([points[n] for n in b]) for b in blocks):
+                    break
+            colors[c] += blocks
+    texts = {name: [str(x) for x in row] for name, row in points.items()}
+    return {"field": "rational", "weight": list(parts), "arity": 4, "dim": 3, "points": texts, "colors": colors}
+
+
+def rational_matrix(rng: random.Random, n: int) -> list[list[str]]:
+    """A random invertible n×n matrix of rationals p/q with |p| <= 5 and 1 <= q <= 4."""
+    from eves import linalg
+
+    while True:
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if linalg.det(m):
+            return [[str(x) for x in row] for row in m]
+
+
+# sha256 of the stdout of validate and invariant on lines_document(random.Random(15), 40, 8),
+# and of transform on simplex_document(random.Random(16), 120, (2, 3)) by rational_matrix(random.Random(17), 4)
 BENCH_SCALE_DIGESTS = {
     "validate": "f71dd44f085918f5d66022bbb140b54ed2dc427ade41fabf7ef6916b17d6f291",
     "invariant": "96a0e3eb7b792e5f9e6a44767ad52b14e6c75f53cc6bd10e9ae873f369cdd6e9",
+    "transform": "aef43a3ed62c8f43f50cebd78c6f2c4bb4f09c5309a5dd4b27b9be42c2d12251",
 }
 
 
 def test_output_at_bench_scale_is_unchanged(tmp_path):
-    """1280 tuples on 320 points: the read path's sharing of work across
-    tuples, points and coordinate texts leaves every byte of output as it was."""
+    """1280 tuples on 320 points, and a 150-tuple image of 120 points under a
+    rational matrix: the read path's sharing of work across tuples, points and
+    coordinate texts, and the write path's printing from integer rows, leave
+    every byte of output as it was."""
     from eves.cli import main
 
-    path = tmp_path / "lines.json"
-    path.write_text(json.dumps(lines_document(random.Random(15), 40, 8)), encoding="utf-8")
+    lines = tmp_path / "lines.json"
+    lines.write_text(json.dumps(lines_document(random.Random(15), 40, 8)), encoding="utf-8")
+    simplex = tmp_path / "simplex.json"
+    simplex.write_text(json.dumps(simplex_document(random.Random(16), 120, (2, 3))), encoding="utf-8")
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(rational_matrix(random.Random(17), 4)), encoding="utf-8")
+    argvs = {"validate": [str(lines)], "invariant": [str(lines)], "transform": [str(simplex), "--matrix", str(matrix)]}
     for command, digest in BENCH_SCALE_DIGESTS.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main([command, str(path)]) == 0
+            assert main([command, *argvs[command]]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
 
 

@@ -28,13 +28,14 @@ from eves import (
 )
 from eves import linalg, reconstruct
 from eves.configuration import RTuple
-from eves.invariant import bracket, canonical_point_reps
+from eves.invariant import bracket
 from eves.reconstruct import projection_vector, render_compare, render_reconstruction
 from eves.wps import FieldKind, UndefinedPointError, index_pairs
 import conftest
 from conftest import (
     CONFIG_FIXTURES,
     FIXTURES,
+    canonical_point_reps,
     projections_agree_by_equivalence,
     random_h_configuration,
     random_invertible_matrix,
