@@ -11,7 +11,6 @@ from .configuration import (
     configuration_to_json,
     load_configuration,
     parse_configuration,
-    span_of,
     validate_h,
 )
 from .invariant import (
@@ -40,7 +39,6 @@ from .reconstruct import (
     ReconstructionVector,
     check_reconstruction_identity,
     compare,
-    reconstruction_vector,
     restrict_pair,
     unit_weight_expansion,
 )

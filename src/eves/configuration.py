@@ -348,25 +348,6 @@ def build_configuration(
     return Configuration(weight, arity, dim, tuple(counts), table, spans, brackets)
 
 
-def span_of(t: RTuple | Sequence[str], cfg: Configuration) -> Subspace:
-    """Canonical echelon basis of the span of the tuple's representative vectors.
-
-    The tuple is any sequence of point names other than a ``str``; a member
-    that is not the name of a point, a non-``str`` included, is refused as
-    unknown."""
-    t = _as_rtuple(t)
-    for name in t:  # before the lookup, which hashes the names
-        if not isinstance(name, str) or name not in cfg.points:
-            raise ConfigurationError(f"unknown point name {name!r}")
-    known = cfg.spans.get(t)
-    if known is not None:
-        return known
-    found = _span([cfg.points[name].row for name in t], {})
-    if found is None:
-        raise ConfigurationError(f"dependent r-tuple {t}")
-    return found[0]
-
-
 @dataclass(frozen=True)
 class DegreeReport:
     h_valid: bool

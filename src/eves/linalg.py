@@ -8,20 +8,19 @@ Python integers: a row's denominators are cleared once by their lcm
 pivots and its rank, and the determinant of independent rows at those pivots;
 ``integer_det`` gives the determinant of a square matrix, in closed form up
 to 4×4 (every bracket of a configuration in P^3) and by elimination above.
-``rref``, ``rank`` and ``det`` are thin conversions over them that return
-rationals; ``rref`` returns an input that already is a reduced basis after an
-O(r·n) scan, not a second elimination, since every ``configuration.Subspace``
+``rref`` and ``rank`` are thin conversions over them that take rationals;
+``rref`` returns an input that already is a reduced basis after an O(r·n)
+scan, not a second elimination, since every ``configuration.Subspace``
 checks its basis with it and most bases come reduced.  A span's own integer
 form (membership, and determinants in its echelon basis) lives on
-``configuration.Subspace``.  Only ``mat_vec`` and ``mat_mul`` compute on
-``Fraction`` entries.
+``configuration.Subspace``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -40,19 +39,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 def identity(n: int) -> Matrix:
     one, zero = Fraction(1), Fraction(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
-    if any(len(r) != len(v) for r in rows):
-        raise ValueError("matrix/vector shape mismatch")
-    return tuple(sum(a * b for a, b in zip(r, v)) for r in rows)
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    if any(len(r) != len(b) for r in a):
-        raise ValueError("matrix shape mismatch")
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -187,12 +173,6 @@ def integer_det(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant: denominators are cleared row by row, then ``integer_det``."""
-    cleared = [clear_denominators(vec(row)) for row in rows]
-    return Fraction(integer_det([ints for ints, _ in cleared]), prod(d for _, d in cleared))
 
 
 def scale_first_nonzero(v: Sequence[Fraction]) -> Vector:

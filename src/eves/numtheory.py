@@ -28,7 +28,9 @@ def integer_nth_root(m: int, n: int) -> int | None:
     """The integer r with r**n == m, if one exists.
 
     For even n the non-negative root is returned; negative m with even n has
-    no integer root and yields None.  Exact big-integer bisection, no floats.
+    no integer root and yields None.  An m of at most n bits has no root
+    r >= 2, since r**n >= 2**n; otherwise exact big-integer bisection, no
+    floats, whose powers stay within twice the bits of m.
     """
     if n < 1:
         raise ValueError("root index must be >= 1")
@@ -41,6 +43,8 @@ def integer_nth_root(m: int, n: int) -> int | None:
         return None if r is None else -r
     if m in (0, 1):
         return m
+    if m.bit_length() <= n:
+        return None
     hi = 1 << (m.bit_length() // n + 1)
     lo = 0
     while lo < hi:

@@ -104,11 +104,6 @@ def projection_vector(full: WeightedPoint) -> ReconstructionVector:
     return ReconstructionVector(index_pairs(full.weight), product_map(full))
 
 
-def reconstruction_vector(cfg: Configuration) -> ReconstructionVector:
-    """The classical two-color ratios of every color pair, read off E_p."""
-    return projection_vector(eves_invariant(cfg).point)
-
-
 def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bool:
     """Whether every pair expansion's classical invariant equals the matching
     axis projection of the weighted invariant ``full`` of ``cfg`` (it must,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -58,10 +59,32 @@ def canonical_point_reps(cfg) -> dict:
     return {name: linalg.scale_first_nonzero(pt.coords) for name, pt in cfg.points.items()}
 
 
+def mat_vec(rows, v) -> tuple:
+    """The matrix times a column vector, in ``Fraction`` arithmetic."""
+    if any(len(r) != len(v) for r in rows):
+        raise ValueError("matrix/vector shape mismatch")
+    return tuple(sum(a * b for a, b in zip(r, v)) for r in rows)
+
+
+def mat_mul(a, b) -> tuple:
+    """The matrix product, in ``Fraction`` arithmetic."""
+    if any(len(r) != len(b) for r in a):
+        raise ValueError("matrix shape mismatch")
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix of rationals: denominators are cleared
+    row by row, then ``linalg.integer_det``."""
+    cleared = [linalg.clear_denominators(linalg.vec(row)) for row in rows]
+    return Fraction(linalg.integer_det([ints for ints, _ in cleared]), math.prod(d for _, d in cleared))
+
+
 def random_invertible_matrix(rng: random.Random, n: int) -> tuple:
     while True:
         m = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
-        if linalg.det(m) != 0:
+        if det(m) != 0:
             return m
 
 

@@ -26,14 +26,16 @@ from eves import (
     load_configuration,
     nonreconstructible_witness,
     product_map,
-    reconstruction_vector,
     validate_h,
     wps_equivalent,
 )
 from eves import linalg
 from eves.oracle import bounded_lambda_search, brute_invariant
+from eves.reconstruct import projection_vector
 from conftest import (
     FIXTURES,
+    mat_mul,
+    mat_vec,
     rand_nonzero_fraction,
     random_h_configuration,
     random_invertible_matrix,
@@ -68,7 +70,7 @@ def test_segment_pair_classes_and_reconstruction():
     assert wps_equivalent(es, wpt([1, 1], [2, 2]))
     assert wps_equivalent(et, wpt([-1, -1], [2, 2]))
     assert not wps_equivalent(es, et)
-    vs, vt = reconstruction_vector(s), reconstruction_vector(t)
+    vs, vt = projection_vector(es), projection_vector(et)
     for entry_s, entry_t in zip(vs.entries, vt.entries):
         assert wps_equivalent(entry_s, entry_t)
         assert wps_equivalent(entry_s, ONE_ONE)
@@ -83,9 +85,6 @@ def test_midpoint_triangle_classes_and_projections():
     assert wps_equivalent(es, wpt([1, 1, 1], [2, 2, 4]))
     assert wps_equivalent(et, wpt([-1, -1, 1], [2, 2, 4]))
     assert not wps_equivalent(es, et)
-    for cfg in (s, t):
-        for entry in reconstruction_vector(cfg).entries:
-            assert wps_equivalent(entry, ONE_ONE)
     for inv in (es, et):
         for component in product_map(inv):
             assert wps_equivalent(component, ONE_ONE)
@@ -98,10 +97,10 @@ def test_octahedral_fixtures():
     report = compare(s, t)
     assert report.reconstruction_equal  # equal classical two-color invariants
     assert not report.ep_equivalent     # distinct weighted invariants
-    generic_ratio = reconstruction_vector(s).entries[0]
+    generic_ratio = projection_vector(eves_invariant(s).point).entries[0]
     assert not wps_equivalent(generic_ratio, ONE_ONE)
     conic = fixture("octahedral_conic.json")
-    conic_ratio = reconstruction_vector(conic).entries[0]
+    conic_ratio = projection_vector(eves_invariant(conic).point).entries[0]
     assert wps_equivalent(conic_ratio, ONE_ONE)
     done("octahedral fixtures (unit-weight classes equal, weighted classes differ, conic test)")
 
@@ -115,7 +114,7 @@ def test_cross_ratio_invariance_and_direct_formula():
         base = cross_ratio(*pts)
         for _ in range(20):
             m = random_invertible_matrix(rng, 2)
-            images = [ProjPoint(p.name, linalg.mat_vec(m, p.coords)) for p in pts]
+            images = [ProjPoint(p.name, mat_vec(m, p.coords)) for p in pts]
             assert wps_equivalent(cross_ratio(*images), base)
 
     cfg = fixture("cross_ratio_quadruple.json")
@@ -144,7 +143,7 @@ def test_choice_independence_on_random_corpus():
             s = F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 4))
             reps[name] = tuple(s * x for x in pt.coords)
         bases = {
-            s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis)
+            s: mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis)
             for s in cfg.subspaces()
         }
         perturbed = eves_invariant_with_choices(
@@ -175,7 +174,7 @@ def test_morphism_suite():
     assert wps_equivalent(eves_invariant(image).point, eves_invariant(source).point)
     # degree sums over merged preimages
     image_of = {
-        name: linalg.scale_first_nonzero(linalg.mat_vec(m.matrix, pt.coords))
+        name: linalg.scale_first_nonzero(mat_vec(m.matrix, pt.coords))
         for name, pt in source.points.items()
     }
     merged = [n for n in image.points if n not in source.points]

@@ -11,7 +11,6 @@ from eves import (
     Weight,
     WeightedPoint,
     eves_invariant,
-    linalg,
     load_configuration,
     parse_configuration,
     wps_equivalent,
@@ -19,7 +18,7 @@ from eves import (
 from eves import oracle
 from eves.configuration import MAX_INPUT_BYTES, MAX_TUPLES
 from eves.invariant import InvariantValue
-from conftest import CONFIG_FIXTURES, FIXTURES
+from conftest import CONFIG_FIXTURES, FIXTURES, det
 from test_golden_cli import lines_document
 
 
@@ -587,7 +586,7 @@ class TestSizeLimits:
         source.write_text(json.dumps(doc))
         while True:
             m = [[10**700 + rng.randint(-99, 99) for _ in range(4)] for _ in range(4)]
-            if linalg.det(m) != 0:
+            if det(m) != 0:
                 break
         matrix = tmp_path / "matrix.json"
         matrix.write_text(json.dumps([[str(x) for x in row] for row in m]))
@@ -728,3 +727,18 @@ class TestInternalError:
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""
         assert err.startswith(f"internal error: {fault.__name__}: simulated fault\n")
+
+
+def test_readme_library_example(monkeypatch, capsys):
+    """The README's first ``python`` block, run from the repository root,
+    prints E_p of the aligned midpoint triangle, then h_01, h_02 and h_12."""
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(FIXTURES.parent)
+    exec(code, {})
+    assert capsys.readouterr().out == (
+        "[1/64 : 1/64 : 1/4096]_(2,2,4)\n"
+        "[1/64 : 1/64]_(1,1)\n"
+        "[1/4096 : 1/4096]_(1,1)\n"
+        "[1/4096 : 1/4096]_(1,1)\n"
+    )

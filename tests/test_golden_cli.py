@@ -111,7 +111,7 @@ def simplex_document(rng: random.Random, n_points: int, parts: tuple[int, ...]) 
     holds p_c random partitions of the points into blocks of 4, each drawn
     again until its blocks are independent, so every point has degree p_c.
     """
-    from eves import linalg
+    from conftest import det
 
     points = {}
     while len(points) < n_points:
@@ -124,7 +124,7 @@ def simplex_document(rng: random.Random, n_points: int, parts: tuple[int, ...]) 
             while True:
                 perm = rng.sample(names, n_points)
                 blocks = [perm[k : k + 4] for k in range(0, n_points, 4)]
-                if all(linalg.det([points[n] for n in b]) for b in blocks):
+                if all(det([points[n] for n in b]) for b in blocks):
                     break
             colors[c] += blocks
     texts = {name: [str(x) for x in row] for name, row in points.items()}
@@ -133,11 +133,11 @@ def simplex_document(rng: random.Random, n_points: int, parts: tuple[int, ...]) 
 
 def rational_matrix(rng: random.Random, n: int) -> list[list[str]]:
     """A random invertible n×n matrix of rationals p/q with |p| <= 5 and 1 <= q <= 4."""
-    from eves import linalg
+    from conftest import det
 
     while True:
         m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        if linalg.det(m):
+        if det(m):
             return [[str(x) for x in row] for row in m]
 
 

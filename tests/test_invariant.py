@@ -36,6 +36,9 @@ from conftest import (
     CONFIG_FIXTURES,
     FIXTURES,
     canonical_point_reps,
+    det,
+    mat_mul,
+    mat_vec,
     random_h_configuration,
     random_invertible_matrix,
     random_simplex_configuration,
@@ -182,7 +185,7 @@ class TestSpanWork:
         eves_invariant(cfg)
         assert calls == []
         rng = random.Random(5)
-        bases = {s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans[1:]}
+        bases = {s: mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans[1:]}
         eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases))
         assert len(calls) == len(bases)
 
@@ -194,7 +197,7 @@ class TestSpanWork:
         full = eves_invariant(cfg).point
         rng = random.Random(9)
         spans = cfg.subspaces()
-        bases = {s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans}
+        bases = {s: mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans}
         reps = {name: tuple(F(-3, 2) * x for x in pt.coords) for name, pt in cfg.points.items()}
         eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases, point_reps=reps))
         assert bracket_calls == []
@@ -218,7 +221,7 @@ class TestSpanWork:
         assert calls == []
         rng = random.Random(9)
         spans = cfg.subspaces()
-        bases = {s: linalg.mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans}
+        bases = {s: mat_mul(random_invertible_matrix(rng, cfg.arity), s.basis) for s in spans}
         reps = {name: tuple(F(-3, 2) * x for x in pt.coords) for name, pt in cfg.points.items()}
         eves_invariant_with_choices(cfg, BasisChoice(subspace_bases=bases, point_reps=reps))
         assert len(calls) == sum(s.dim for s in spans)
@@ -296,7 +299,7 @@ class TestStoredBrackets:
             for s in cfg.subspaces():  # another basis of s, each row scaled by a random rational
                 scales = [F(rng.choice([-2, 1, 3]), rng.randint(1, 4)) for _ in range(cfg.arity)]
                 mix = [[a * x for x in row] for a, row in zip(scales, random_invertible_matrix(rng, cfg.arity))]
-                bases[s] = linalg.mat_mul(mix, s.basis)
+                bases[s] = mat_mul(mix, s.basis)
             reps = {}
             for name, pt in cfg.points.items():
                 scale = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
@@ -322,7 +325,7 @@ class TestChoiceIndependence:
         line = cfg.spans[cfg.colors[0][0]]
         reps = canonical_point_reps(cfg)
         for q in (((F(2), F(1)), (F(1), F(1))), ((F(2), F(1)), (F(1), F(3)))):
-            basis = linalg.mat_mul(q, line.basis)
+            basis = mat_mul(q, line.basis)
             choice = BasisChoice(subspace_bases={line: basis})
             value = eves_invariant_with_choices(cfg, choice).point
             assert wps_equivalent(value, eves_invariant(cfg).point)
@@ -360,7 +363,7 @@ class TestChoiceIndependence:
         first, second = cfg.subspaces()[:2]
         with pytest.raises(ValueError, match="supplied basis does not span"):
             eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={first: second.basis}))
-        basis = linalg.mat_mul(((F(2), F(1)), (F(1), F(1))), first.basis)
+        basis = mat_mul(((F(2), F(1)), (F(1), F(1))), first.basis)
         value = eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={first: basis})).point
         assert wps_equivalent(value, eves_invariant(cfg).point)
 
@@ -376,7 +379,7 @@ class TestChoiceIndependence:
             bases = {}
             for s in cfg.subspaces():
                 q = random_invertible_matrix(rng, cfg.arity)
-                bases[s] = linalg.mat_mul(q, s.basis)
+                bases[s] = mat_mul(q, s.basis)
             perturbed = eves_invariant_with_choices(
                 cfg, BasisChoice(subspace_bases=bases, point_reps=reps)
             ).point
@@ -443,7 +446,7 @@ class TestMorphisms:
         # every image point is the matrix times its first source point, entry for entry
         groups = {}
         for name in sorted(cfg.points):
-            img = linalg.mat_vec(m.matrix, cfg.points[name].coords)
+            img = mat_vec(m.matrix, cfg.points[name].coords)
             groups.setdefault(linalg.scale_first_nonzero(img), []).append(img)
         assert sorted(pt.coords for pt in image.points.values()) == sorted(images[0] for images in groups.values())
 
@@ -458,7 +461,7 @@ class TestMorphisms:
                     tuple(F(rng.randint(-7, 7), den * rng.randint(1, 2)) for _ in range(n))
                     for den in rng.sample([2, 3, 5, 7, 11], n)
                 )
-                if linalg.det(rows) != 0:
+                if det(rows) != 0:
                     break
             m = LinearMorphism(rows)
             self.assert_images_exact(cfg, m, apply_morphism(cfg, m))
@@ -471,7 +474,7 @@ class TestMorphisms:
         cfg = build_configuration(Weight((1, 1)), 2, 2, [[("a", "b"), ("a2", "c")], [("a", "c"), ("a2", "b")]], pts)
         image = apply_morphism(cfg, m)
         assert sorted(image.points) == ["a+a2", "b", "c"]
-        assert image.points["a+a2"].coords == linalg.mat_vec(m.matrix, pts["a"])
+        assert image.points["a+a2"].coords == mat_vec(m.matrix, pts["a"])
         self.assert_images_exact(cfg, m, image)
 
     def test_points_with_proportional_images_merge(self):
@@ -482,8 +485,8 @@ class TestMorphisms:
                "b": (F(0), F(1, 3), F(1)), "b2": (F(1), F(5, 3), F(3)), "c": (F(2, 7), F(-1), F(1, 9))}
         colors = [[("a", "b"), ("a2", "c"), ("b2", "a")], [("a", "c"), ("a2", "b2"), ("b", "c")]]
         cfg = build_configuration(Weight((1, 1)), 2, 2, colors, pts)
-        assert linalg.mat_vec(m.matrix, pts["a2"]) == tuple(-3 * x for x in linalg.mat_vec(m.matrix, pts["a"]))
-        assert linalg.mat_vec(m.matrix, pts["b2"]) == tuple(2 * x for x in linalg.mat_vec(m.matrix, pts["b"]))
+        assert mat_vec(m.matrix, pts["a2"]) == tuple(-3 * x for x in mat_vec(m.matrix, pts["a"]))
+        assert mat_vec(m.matrix, pts["b2"]) == tuple(2 * x for x in mat_vec(m.matrix, pts["b"]))
         image = apply_morphism(cfg, m)
         assert sorted(image.points) == ["a+a2", "b+b2", "c"]
         assert image.colors[1] == (("a+a2", "b+b2"), ("a+a2", "c"), ("b+b2", "c"))
@@ -524,8 +527,8 @@ class TestMorphisms:
         image = apply_morphism(cfg, self.PROJECT_FROM_K)
         # a and b take the merged name a+b first, so the point named a+b becomes a+b'
         assert sorted(image.points) == ["a+b", "a+b'", "p", "q", "r", "s"]
-        assert image.points["a+b"].coords == linalg.mat_vec(self.PROJECT_FROM_K.matrix, cfg.points["a"].coords)
-        assert image.points["a+b'"].coords == linalg.mat_vec(self.PROJECT_FROM_K.matrix, cfg.points["a+b"].coords)
+        assert image.points["a+b"].coords == mat_vec(self.PROJECT_FROM_K.matrix, cfg.points["a"].coords)
+        assert image.points["a+b'"].coords == mat_vec(self.PROJECT_FROM_K.matrix, cfg.points["a+b"].coords)
         self.assert_images_exact(cfg, self.PROJECT_FROM_K, image)
 
     def test_shape_mismatch(self, fixtures_dir):
@@ -604,7 +607,7 @@ class TestCrossRatio:
             pts = [line_point(f"p{k}", t) for k, t in enumerate(ts)]
             base = cross_ratio(*pts)
             m = random_invertible_matrix(rng, 2)
-            imgs = [ProjPoint(p.name, linalg.mat_vec(m, p.coords)) for p in pts]
+            imgs = [ProjPoint(p.name, mat_vec(m, p.coords)) for p in pts]
             assert wps_equivalent(cross_ratio(*imgs), base)
 
     def test_matches_direct_determinant_formula(self):

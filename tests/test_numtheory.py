@@ -54,6 +54,14 @@ class TestIntegerNthRoot:
         with pytest.raises(ValueError):
             integer_nth_root(4, 0)
 
+    def test_at_most_n_bits_under_a_huge_index(self):
+        # r >= 2 gives r**n >= 2**n, so these return without building 2**n
+        assert integer_nth_root(2, 10**20) is None
+        assert integer_nth_root(-2, 10**20 + 1) is None
+        assert integer_nth_root(-1, 10**20 + 1) == -1
+        assert integer_nth_root(2**64 - 1, 64) is None
+        assert integer_nth_root(2**64, 64) == 2
+
     @given(st.integers(-10**6, 10**6), st.integers(1, 9))
     def test_round_trip(self, r, n):
         m = r**n
@@ -79,6 +87,10 @@ class TestRationalNthRoots:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             rational_nth_roots(Fraction(0), 2)
+
+    def test_huge_index(self):
+        assert rational_nth_roots(Fraction(2, 3), 10**20) == set()
+        assert rational_nth_roots(Fraction(1), 10**20) == {Fraction(1), Fraction(-1)}
 
     @given(
         st.fractions(min_value=-50, max_value=50, max_denominator=20),

@@ -17,18 +17,19 @@ from eves import (
     build_configuration,
     check_reconstruction_identity,
     compare,
+    configuration_to_json,
     eves_invariant,
     load_configuration,
     parse_configuration,
-    reconstruction_vector,
     restrict_pair,
     unit_weight_expansion,
     validate_h,
     wps_equivalent,
 )
-from eves import linalg, reconstruct
+from eves import cli, reconstruct
 from eves.configuration import RTuple
 from eves.invariant import bracket
+from eves.oracle import brute_invariant
 from eves.reconstruct import projection_vector, render_compare, render_reconstruction
 from eves.wps import FieldKind, UndefinedPointError, index_pairs
 import conftest
@@ -36,6 +37,7 @@ from conftest import (
     CONFIG_FIXTURES,
     FIXTURES,
     canonical_point_reps,
+    mat_vec,
     projections_agree_by_equivalence,
     random_h_configuration,
     random_invertible_matrix,
@@ -257,14 +259,14 @@ class TestReconstructionVector:
     def test_midpoint_triangle_values(self, fixtures_dir):
         for name in ("midpoint_triangle_aligned.json", "midpoint_triangle_reversed.json"):
             cfg = load_configuration(fixtures_dir / name)
-            vector = reconstruction_vector(cfg)
+            vector = projection_vector(eves_invariant(cfg).point)
             assert vector.pairs == ((0, 1), (0, 2), (1, 2))
             for entry in vector.entries:
                 assert wps_equivalent(entry, ONE_ONE)
 
     def test_opposed_segments_entry(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "segment_pair_opposed.json")
-        vector = reconstruction_vector(cfg)
+        vector = projection_vector(eves_invariant(cfg).point)
         assert vector.entries[0].coords == (F(-1), F(-1))
         assert wps_equivalent(vector.entries[0], ONE_ONE)
 
@@ -285,14 +287,14 @@ class TestEntriesFromInvariant:
             if path.name == "projection_matrix.json":
                 continue
             cfg = load_configuration(path)
-            entries = [e.coords for e in reconstruction_vector(cfg).entries]
+            entries = [e.coords for e in projection_vector(eves_invariant(cfg).point).entries]
             assert entries == expansion_coords(cfg), path.name
 
     def test_random_corpus(self):
         rng = random.Random(31)
         for _ in range(40):
             cfg = random_h_configuration(rng)
-            assert [e.coords for e in reconstruction_vector(cfg).entries] == expansion_coords(cfg)
+            assert [e.coords for e in projection_vector(eves_invariant(cfg).point).entries] == expansion_coords(cfg)
 
     def test_admissible_expansion_of_non_admissible_input(self):
         # weight (2,2) with every point of degrees (1,1): the quotient 1/2 is not
@@ -303,7 +305,7 @@ class TestEntriesFromInvariant:
         assert not validate_h(cfg).h_valid
         assert validate_h(unit_weight_expansion(restrict_pair(cfg, 0, 1))).h_valid
         with pytest.raises(NotHConfigurationError, match="point 'a'"):
-            reconstruction_vector(cfg)
+            eves_invariant(cfg)
 
 
 class TestReconstructionIdentity:
@@ -558,9 +560,40 @@ class TestTransformRoundTrip:
         m = tuple(tuple(x / d for x in row) for row, d in zip(random_invertible_matrix(rng, n), dens))
         image = apply_morphism(cfg, LinearMorphism(m))
         # each image point is the exact image of a source point (points with one image merge)
-        assert {pt.coords for pt in image.points.values()} <= {linalg.mat_vec(m, pt.coords) for pt in cfg.points.values()}
+        assert {pt.coords for pt in image.points.values()} <= {mat_vec(m, pt.coords) for pt in cfg.points.values()}
         report = compare(cfg, image)
         assert report.ep_equivalent and report.reconstruction_equal
+
+
+def oracle_corpus():
+    """Three configurations of each random family at 3 and at 4 colours."""
+    rng = random.Random(83)
+    return [
+        make(rng, parts=tuple(rng.randint(1, 3) for _ in range(n_colors)))
+        for n_colors in (3, 4)
+        for make in (random_h_configuration, random_simplex_configuration)
+        for _ in range(3)
+    ]
+
+
+class TestOracleConsistency:
+    """What ``reconstruct --oracle`` checks holds on the random families."""
+
+    def test_entries_and_invariant_match_brute_force(self):
+        for cfg in oracle_corpus():
+            full = eves_invariant(cfg).point
+            vector = projection_vector(full)
+            for (i, j), entry in zip(vector.pairs, vector.entries):
+                expansion = unit_weight_expansion(restrict_pair(cfg, i, j))
+                assert wps_equivalent(entry, brute_invariant(expansion).point)
+            assert wps_equivalent(full, brute_invariant(cfg).point)
+
+    def test_cli_exits_zero(self, tmp_path, capsys):
+        for k, cfg in enumerate(oracle_corpus()[::3]):
+            path = tmp_path / f"random{k}.json"
+            path.write_text(configuration_to_json(cfg), encoding="utf-8")
+            assert cli.main(["reconstruct", str(path), "--oracle"]) == 0
+            assert capsys.readouterr().out.endswith("projection_identity: true\n")
 
 
 class TestRendering:
@@ -577,7 +610,7 @@ class TestRendering:
 
     def test_reconstruction_rendering(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "segment_pair_opposed.json")
-        vector = reconstruction_vector(cfg)
+        vector = projection_vector(eves_invariant(cfg).point)
         text = render_reconstruction(vector, eves_invariant(cfg).point, True)
         assert text == (
             "h_01: [-1 : -1]\n"
