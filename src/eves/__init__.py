@@ -36,7 +36,6 @@ from .numtheory import (
 )
 from .reconstruct import (
     CompareReport,
-    ReconstructionVector,
     check_reconstruction_identity,
     compare,
     restrict_pair,

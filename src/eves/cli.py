@@ -27,7 +27,6 @@ from .configuration import (
     validate_h,
 )
 from .invariant import (
-    ChartError,
     LinearMorphism,
     MorphismError,
     NotHConfigurationError,
@@ -35,9 +34,9 @@ from .invariant import (
     eves_invariant,
 )
 from .wps import (
-    UndefinedPointError,
     Weight,
     WeightedPoint,
+    index_pairs,
     nonreconstructible_witness,
     parse_rational,
     parse_weight,
@@ -56,8 +55,6 @@ _INPUT_ERRORS = (
     ConfigurationError,
     NotHConfigurationError,
     MorphismError,
-    ChartError,
-    UndefinedPointError,
     OSError,
 )
 
@@ -171,11 +168,11 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "reconstruct":
         cfg = load_configuration(args.input)
         full = eves_invariant(cfg).point
-        vector = reconstruct.projection_vector(full)
+        entries = product_map(full)
         identity_ok = reconstruct.check_reconstruction_identity(cfg, full)
-        out.write(reconstruct.render_reconstruction(vector, full, identity_ok))
+        out.write(reconstruct.render_reconstruction(entries, full, identity_ok))
         if args.oracle:
-            for (i, j), entry in zip(vector.pairs, vector.entries):
+            for (i, j), entry in zip(index_pairs(cfg.weight), entries):
                 expansion = reconstruct.unit_weight_expansion(
                     reconstruct.restrict_pair(cfg, i, j)
                 )

@@ -259,8 +259,6 @@ def build_configuration(
 
     table: dict[str, ProjPoint] = {}
     for name, value in points.items():
-        if name in table:
-            raise ConfigurationError(f"duplicate point name {name!r}")
         pt = value if isinstance(value, ProjPoint) else ProjPoint(str(name), value)
         if pt.name != name:
             raise ConfigurationError(f"point table key {name!r} does not match point name {pt.name!r}")
@@ -325,8 +323,7 @@ def build_configuration(
                         facts[name][key] = list(pt.row)
                 if key is not None:
                     span = proven[key]
-                    # copies from r = 5 on, where Bareiss overwrites its rows
-                    minor = linalg.integer_det([fact[key] if arity < 5 else fact[key][:] for fact in known])
+                    minor = linalg.integer_det([fact[key] for fact in known])
                 else:
                     span, minor = _span([table[name].row for name in t], interned) or (None, 0)
                     if minor:

@@ -28,7 +28,6 @@ from typing import Mapping, Sequence
 from . import linalg
 from .configuration import (
     Configuration,
-    ConfigurationError,
     ProjPoint,
     RTuple,
     Subspace,
@@ -270,11 +269,7 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
         points[merged] = ProjPoint.from_row(merged, *image_rows[names[0]])
 
     new_colors = [[tuple(rename[m] for m in t) for t in color] for color in cfg.colors]
-    new_dim = len(rows) - 1
-    try:
-        return build_configuration(cfg.weight, cfg.arity, new_dim, new_colors, points)
-    except ConfigurationError as exc:
-        raise MorphismError(str(exc)) from None
+    return build_configuration(cfg.weight, cfg.arity, len(rows) - 1, new_colors, points)
 
 
 def _distinct_collinear(points: Sequence[ProjPoint]) -> None:

@@ -132,16 +132,15 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(integer_echelon_minor(_cleared(rows))[1])
 
 
-def integer_det(m: list[list[int]]) -> int:
+def integer_det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: in closed form up to n = 4,
     by Bareiss elimination above.
 
     The closed forms are the products of 2×2 minors: n = 3 expands along
     the first row, n = 4 along the first two rows (Laplace: each of their
     six 2×2 minors times its complementary minor in the last two rows).
-    They leave the rows as they are; from n = 5 on the rows may be
-    overwritten.  Every Bareiss division is exact: after step k each
-    remaining entry is a (k+1)-order minor of the input.
+    Bareiss works on a copy of the rows.  Every division is exact: after
+    step k each remaining entry is a (k+1)-order minor of the input.
     """
     n = len(m)
     if set(map(len, m)) - {n}:
@@ -159,6 +158,7 @@ def integer_det(m: list[list[int]]) -> int:
         return a * d - b * c
     if n < 2:
         return m[0][0] if n else 1
+    m = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):

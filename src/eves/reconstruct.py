@@ -36,16 +36,6 @@ from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_ma
 
 
 @dataclass(frozen=True)
-class ReconstructionVector:
-    pairs: tuple[tuple[int, int], ...]
-    entries: tuple[WeightedPoint, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.entries):
-            raise ValueError("one entry per index pair required")
-
-
-@dataclass(frozen=True)
 class CompareReport:
     ep_equivalent: bool
     reconstruction_equal: bool
@@ -99,11 +89,6 @@ def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
     )
 
 
-def projection_vector(full: WeightedPoint) -> ReconstructionVector:
-    """The canonical axis projections of a weighted invariant, lexicographic pair order."""
-    return ReconstructionVector(index_pairs(full.weight), product_map(full))
-
-
 def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bool:
     """Whether every pair expansion's classical invariant equals the matching
     axis projection of the weighted invariant ``full`` of ``cfg`` (it must,
@@ -138,15 +123,13 @@ def compare(cfg_a: Configuration, cfg_b: Configuration) -> CompareReport:
         raise ConfigurationError("configurations carry different arities")
     inv_a = eves_invariant(cfg_a).point
     inv_b = eves_invariant(cfg_b).point
-    vec_a = projection_vector(inv_a)
-    vec_b = projection_vector(inv_b)
     pair_equal = projections_agree(inv_a, inv_b)
     return CompareReport(
         ep_equivalent=all(pair_equal) and wps_equivalent(inv_a, inv_b),
         reconstruction_equal=all(pair_equal),
-        pairs=vec_a.pairs,
-        entries_a=vec_a.entries,
-        entries_b=vec_b.entries,
+        pairs=index_pairs(cfg_a.weight),
+        entries_a=product_map(inv_a),
+        entries_b=product_map(inv_b),
         pair_equal=pair_equal,
         invariant_a=inv_a,
         invariant_b=inv_b,
@@ -161,9 +144,11 @@ def _ratio(entry: WeightedPoint) -> str:
     return "[" + " : ".join(format_rational(c) for c in entry.coords) + "]"
 
 
-def render_reconstruction(vector: ReconstructionVector, full: WeightedPoint, identity_ok: bool) -> str:
+def render_reconstruction(entries: tuple[WeightedPoint, ...], full: WeightedPoint, identity_ok: bool) -> str:
+    """The reconstruction vector ``entries``, one per index pair of ``full``'s
+    weight, then E_p and the identity verdict."""
     lines = [
-        f"{_pair_label(i, j)}: {_ratio(entry)}" for (i, j), entry in zip(vector.pairs, vector.entries)
+        f"{_pair_label(i, j)}: {_ratio(entry)}" for (i, j), entry in zip(index_pairs(full.weight), entries)
     ]
     lines.append(f"E_p: {full}")
     lines.append(f"projection_identity: {'true' if identity_ok else 'false'}")

@@ -2,9 +2,10 @@
 
 A weight (p_0, ..., p_n) defines the equivalence z ~ w iff some nonzero scalar
 l satisfies w_k = l**p_k * z_k for all k.  Coordinates here are rationals
-standing in for real scalars; the decision procedure is exact because l**g
-(g the gcd of the weights at nonzero coordinates) is forced to equal one
-specific rational, reducing existence of a real l to a sign test.
+standing in for real scalars, or for complex ones under a complex-like
+weight; the decision procedure is exact because l**g (g the gcd of the
+weights at nonzero coordinates) is forced to equal one specific rational,
+reducing existence of a real l to a sign test, and of a complex l to nothing.
 """
 
 from __future__ import annotations
@@ -102,15 +103,17 @@ def _bezout_for_gcd(values: list[int]) -> tuple[int, list[int]]:
 def wps_equivalent(z: WeightedPoint, w: WeightedPoint) -> bool:
     """Decide whether z and w name the same weighted projective point.
 
-    True iff some real scalar l != 0 has w_k == l**p_k * z_k for every k.
-    Zero patterns must agree; over the nonzero coordinates the Bezout
-    combination mu of the ratios pins down l**g, so the ratios must be
-    consistent with mu and mu must admit a real g-th root (g odd or mu > 0).
+    True iff some scalar l != 0, real or, under a complex-like weight,
+    complex, has w_k == l**p_k * z_k for every k.  Zero patterns must agree;
+    over the nonzero coordinates the Bezout combination mu of the ratios pins
+    down l**g, so each ratio r_k must equal mu**(p_k/g), and over the reals mu
+    must admit a real g-th root (g odd or mu > 0); over the complex numbers
+    every g-th root of mu will do.  Unless mu = ±1, mu**e has a numerator or
+    denominator of more than e bits, so a ratio whose parts both have at most
+    e bits differs from it, and mu**e is not built.
     """
     if z.weight != w.weight:
         raise ValueError("points live in different weighted projective spaces")
-    if z.weight.field is not FieldKind.REAL_LIKE:
-        raise ValueError("equivalence is decided for real-like weights only")
     for zk, wk in zip(z.coords, w.coords):
         if (zk == 0) != (wk == 0):
             return False
@@ -121,9 +124,11 @@ def wps_equivalent(z: WeightedPoint, w: WeightedPoint) -> bool:
     mu = Fraction(1)
     for r, a in zip(ratios, coeffs):
         mu *= r**a
-    if any(r != mu ** (p // g) for r, p in zip(ratios, parts)):
-        return False
-    return g % 2 == 1 or mu > 0
+    for r, p in zip(ratios, parts):
+        e = p // g
+        if (abs(mu) != 1 and max(abs(r.numerator), r.denominator).bit_length() <= e) or r != mu**e:
+            return False
+    return z.weight.field is FieldKind.COMPLEX_LIKE or g % 2 == 1 or mu > 0
 
 
 def reduce_weight(p: Weight) -> Weight:

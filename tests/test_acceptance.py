@@ -31,7 +31,6 @@ from eves import (
 )
 from eves import linalg
 from eves.oracle import bounded_lambda_search, brute_invariant
-from eves.reconstruct import projection_vector
 from conftest import (
     FIXTURES,
     mat_mul,
@@ -70,8 +69,7 @@ def test_segment_pair_classes_and_reconstruction():
     assert wps_equivalent(es, wpt([1, 1], [2, 2]))
     assert wps_equivalent(et, wpt([-1, -1], [2, 2]))
     assert not wps_equivalent(es, et)
-    vs, vt = projection_vector(es), projection_vector(et)
-    for entry_s, entry_t in zip(vs.entries, vt.entries):
+    for entry_s, entry_t in zip(product_map(es), product_map(et)):
         assert wps_equivalent(entry_s, entry_t)
         assert wps_equivalent(entry_s, ONE_ONE)
         assert wps_equivalent(entry_t, ONE_ONE)
@@ -97,10 +95,10 @@ def test_octahedral_fixtures():
     report = compare(s, t)
     assert report.reconstruction_equal  # equal classical two-color invariants
     assert not report.ep_equivalent     # distinct weighted invariants
-    generic_ratio = projection_vector(eves_invariant(s).point).entries[0]
+    generic_ratio = product_map(eves_invariant(s).point)[0]
     assert not wps_equivalent(generic_ratio, ONE_ONE)
     conic = fixture("octahedral_conic.json")
-    conic_ratio = projection_vector(eves_invariant(conic).point).entries[0]
+    conic_ratio = product_map(eves_invariant(conic).point)[0]
     assert wps_equivalent(conic_ratio, ONE_ONE)
     done("octahedral fixtures (unit-weight classes equal, weighted classes differ, conic test)")
 

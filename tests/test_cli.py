@@ -65,6 +65,34 @@ class TestValidate:
         assert "h_valid: false" in out
         assert "failure:" in out
 
+    def test_span_degree_failure(self, capsys, tmp_path):
+        """Every point has degrees (1,1), but each span holds one color's tuple only."""
+        doc = {
+            "field": "rational",
+            "weight": [1, 1],
+            "arity": 2,
+            "dim": 2,
+            "points": {"a": ["1", "0", "0"], "b": ["0", "1", "0"], "c": ["0", "0", "1"], "d": ["1", "1", "1"]},
+            "colors": [[["a", "b"], ["c", "d"]], [["a", "c"], ["b", "d"]]],
+        }
+        path = tmp_path / "spans.json"
+        path.write_text(json.dumps(doc))
+        failure = "span[(1, 0, 0); (0, 0, 1)]: degrees (0, 1) not proportional to weight (1,1)"
+        for oracle_flag in ((), ("--oracle",)):
+            code, out, err = run_cli(capsys, "validate", str(path), *oracle_flag)
+            assert (code, err) == (1, "")
+            assert out.startswith("h_valid: false\nell: 2\n")
+            assert out.endswith(f"failure: {failure}\n")
+        code, out, err = run_cli(capsys, "invariant", str(path))
+        assert (code, out, err) == (2, "", f"error: {failure}\n")
+
+    def test_invalid_json_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"field": ')
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+
     def test_dependent_tuple_exit_two(self, capsys, tmp_path):
         doc = {
             "field": "rational",
@@ -460,6 +488,12 @@ class TestWpsEquiv:
             capsys, "wps-equiv", "--weight", "2,1", "--a", "1,2", "--b", "4,4", "--oracle"
         )
         assert code == 0
+
+    def test_huge_weight_part_false_verdict(self, capsys):
+        code, out, err = run_cli(
+            capsys, "wps-equiv", "--weight", "99999999999999999999,3", "--a", "1,1", "--b", "2,2"
+        )
+        assert (code, out, err) == (1, "false\n", "")
 
     def test_bad_weight_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "wps-equiv", "--weight", "2,x", "--a", "1,1", "--b", "1,1")

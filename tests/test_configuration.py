@@ -138,6 +138,11 @@ class TestBuild:
         with pytest.raises(ConfigurationError, match="unknown point name"):
             build_configuration(Weight((1, 1)), 2, 1, [[("t0", "nope")], [("t0", "t1")]], pts)
 
+    def test_point_key_must_be_its_name(self):
+        pts = {"a": ProjPoint("a", (F(1), F(0))), "b": ProjPoint("c", (F(1), F(1)))}
+        with pytest.raises(ConfigurationError, match="point table key 'b' does not match point name 'c'"):
+            build_configuration(Weight((1, 1)), 2, 1, [[("a", "b")], [("a", "b")]], pts)
+
     def test_zero_vector_point(self):
         with pytest.raises(ConfigurationError, match="zero vector"):
             ProjPoint("z", (F(0), F(0)))

@@ -115,6 +115,11 @@ class TestBracket:
         with pytest.raises(ValueError, match="at least one row"):
             bracket(RTuple(("a",)), (), {"a": (F(1),)})
 
+    def test_representative_of_another_length_rejected(self):
+        reps = {"a": (F(1), F(0), F(0)), "b": (F(0), F(1))}
+        with pytest.raises(ValueError, match="basis/vector shape mismatch"):
+            bracket(RTuple(("a", "b")), Subspace(linalg.identity(3)), reps)
+
 
 class TestEvesInvariant:
     def test_segment_pair_fixtures(self, fixtures_dir):
@@ -416,6 +421,11 @@ class TestAntisymmetry:
 
 
 class TestMorphisms:
+    @pytest.mark.parametrize("rows", [((F(1), F(0)), (F(1),)), ()], ids=["ragged", "empty"])
+    def test_matrix_must_be_rectangular(self, rows):
+        with pytest.raises(ValueError, match="must be rectangular and non-empty"):
+            LinearMorphism(rows)
+
     def test_identity(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "area_ratio_six_points.json")
         image = apply_morphism(cfg, LinearMorphism(linalg.identity(3)))
@@ -639,6 +649,11 @@ class TestCrossRatio:
         with pytest.raises(ValueError, match="coincide"):
             cross_ratio(a, b, c, ProjPoint("d", (F(2), F(2), F(0))))
 
+    def test_rejects_repeated_names(self):
+        a, b, c = line_point("a", 0), line_point("b", 1), line_point("c", 2)
+        with pytest.raises(ValueError, match="distinct names"):
+            cross_ratio(a, b, c, line_point("a", 3))
+
 
 class TestTriangleRatio:
     def test_six_point_value(self):
@@ -681,6 +696,12 @@ class TestTriangleRatio:
         with pytest.raises(ValueError, match="exactly"):
             triangle_ratio(pts, TrianglePattern.SIX_POINT)
 
+    def test_repeated_names_rejected(self):
+        coords = [(0, 0), (4, 0), (1, 3), (2, 1), (3, 2)]
+        pts = [plane_point(f"p{k}", x, y) for k, (x, y) in enumerate(coords, start=1)]
+        with pytest.raises(ValueError, match="distinct names"):
+            triangle_ratio(pts + [plane_point("p1", 0, 2)], TrianglePattern.SIX_POINT)
+
 
 class TestSignedLength:
     def line(self):
@@ -709,6 +730,19 @@ class TestSignedLength:
         basis = ((F(1), F(0)), (F(1), F(1)))
         with pytest.raises(ChartError):
             signed_length_bracket(line, RTuple(("o", "inf")), basis, pts)
+
+    def test_argument_checks(self):
+        line, pts = self.line()
+        basis = ((F(1), F(0)), (F(1), F(1)))
+        plane = Subspace(linalg.identity(3))
+        with pytest.raises(ValueError, match="signed lengths live on lines"):
+            signed_length_bracket(plane, RTuple(("o", "u")), basis, pts)
+        with pytest.raises(ValueError, match="signed lengths live on lines"):
+            signed_length_bracket(line, RTuple(("o", "u")), basis + ((F(1), F(2)),), pts)
+        with pytest.raises(ValueError, match="supplied basis does not span"):
+            signed_length_bracket(line, RTuple(("o", "u")), ((F(1), F(0)), (F(1), F(0))), pts)
+        with pytest.raises(ValueError, match="exactly two endpoints"):
+            signed_length_bracket(line, RTuple(("o", "u", "p2")), basis, pts)
 
     def test_chart_normalization_required(self):
         line, pts = self.line()

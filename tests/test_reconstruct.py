@@ -30,8 +30,8 @@ from eves import cli, reconstruct
 from eves.configuration import RTuple
 from eves.invariant import bracket
 from eves.oracle import brute_invariant
-from eves.reconstruct import projection_vector, render_compare, render_reconstruction
-from eves.wps import FieldKind, UndefinedPointError, index_pairs
+from eves.reconstruct import render_compare, render_reconstruction
+from eves.wps import FieldKind, UndefinedPointError, index_pairs, product_map
 import conftest
 from conftest import (
     CONFIG_FIXTURES,
@@ -259,16 +259,15 @@ class TestReconstructionVector:
     def test_midpoint_triangle_values(self, fixtures_dir):
         for name in ("midpoint_triangle_aligned.json", "midpoint_triangle_reversed.json"):
             cfg = load_configuration(fixtures_dir / name)
-            vector = projection_vector(eves_invariant(cfg).point)
-            assert vector.pairs == ((0, 1), (0, 2), (1, 2))
-            for entry in vector.entries:
+            assert index_pairs(cfg.weight) == ((0, 1), (0, 2), (1, 2))
+            for entry in product_map(eves_invariant(cfg).point):
                 assert wps_equivalent(entry, ONE_ONE)
 
     def test_opposed_segments_entry(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "segment_pair_opposed.json")
-        vector = projection_vector(eves_invariant(cfg).point)
-        assert vector.entries[0].coords == (F(-1), F(-1))
-        assert wps_equivalent(vector.entries[0], ONE_ONE)
+        entry = product_map(eves_invariant(cfg).point)[0]
+        assert entry.coords == (F(-1), F(-1))
+        assert wps_equivalent(entry, ONE_ONE)
 
 
 def expansion_coords(cfg):
@@ -287,14 +286,14 @@ class TestEntriesFromInvariant:
             if path.name == "projection_matrix.json":
                 continue
             cfg = load_configuration(path)
-            entries = [e.coords for e in projection_vector(eves_invariant(cfg).point).entries]
+            entries = [e.coords for e in product_map(eves_invariant(cfg).point)]
             assert entries == expansion_coords(cfg), path.name
 
     def test_random_corpus(self):
         rng = random.Random(31)
         for _ in range(40):
             cfg = random_h_configuration(rng)
-            assert [e.coords for e in projection_vector(eves_invariant(cfg).point).entries] == expansion_coords(cfg)
+            assert [e.coords for e in product_map(eves_invariant(cfg).point)] == expansion_coords(cfg)
 
     def test_admissible_expansion_of_non_admissible_input(self):
         # weight (2,2) with every point of degrees (1,1): the quotient 1/2 is not
@@ -351,10 +350,9 @@ def per_pair_identity(cfg, full):
     and the value compared by ``wps_equivalent`` with the projection of ``full``."""
     reps = canonical_point_reps(cfg)
     checked = replace(cfg, brackets={t: bracket(t, span, reps).as_integer_ratio() for t, span in cfg.spans.items()})
-    vector = projection_vector(full)
     return all(
         wps_equivalent(eves_invariant(unit_weight_expansion(restrict_pair(checked, i, j))).point, entry)
-        for (i, j), entry in zip(vector.pairs, vector.entries)
+        for (i, j), entry in zip(index_pairs(full.weight), product_map(full))
     )
 
 
@@ -490,7 +488,7 @@ class TestCompare:
             assert len(calls) == (1 if report.reconstruction_equal else 0)
 
     def test_complex_like_pairs_that_differ(self):
-        # wps_equivalent decides real-like weights only; it is not reached here
+        # the pair's ratios already differ, so wps_equivalent is not reached
         points = {name: (F(1), F(t)) for t, name in enumerate("abcd")}
         weight = Weight((1, 1), FieldKind.COMPLEX_LIKE)
         a = build_configuration(weight, 2, 1, [[("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")]], points)
@@ -582,8 +580,7 @@ class TestOracleConsistency:
     def test_entries_and_invariant_match_brute_force(self):
         for cfg in oracle_corpus():
             full = eves_invariant(cfg).point
-            vector = projection_vector(full)
-            for (i, j), entry in zip(vector.pairs, vector.entries):
+            for (i, j), entry in zip(index_pairs(full.weight), product_map(full)):
                 expansion = unit_weight_expansion(restrict_pair(cfg, i, j))
                 assert wps_equivalent(entry, brute_invariant(expansion).point)
             assert wps_equivalent(full, brute_invariant(cfg).point)
@@ -610,8 +607,8 @@ class TestRendering:
 
     def test_reconstruction_rendering(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "segment_pair_opposed.json")
-        vector = projection_vector(eves_invariant(cfg).point)
-        text = render_reconstruction(vector, eves_invariant(cfg).point, True)
+        full = eves_invariant(cfg).point
+        text = render_reconstruction(product_map(full), full, True)
         assert text == (
             "h_01: [-1 : -1]\n"
             "E_p: [-1 : -1]_(2,2)\n"

@@ -128,10 +128,45 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             wps_equivalent(wpt([1, 1], [1, 1]), wpt([1, 1], [1, 2]))
 
-    def test_complex_tag_rejected(self):
-        z = wpt([1, 1], [2, 2], FieldKind.COMPLEX_LIKE)
-        with pytest.raises(ValueError):
-            wps_equivalent(z, z)
+    def test_complex_scalar_with_even_gcd(self):
+        # l = i: l**2 = -1 and l**4 = 1; no real scalar does it
+        for parts, b in (([2, 2], [-1, -1]), ([2, 4], [-1, 1])):
+            assert wps_equivalent(wpt([1, 1], parts, FieldKind.COMPLEX_LIKE), wpt(b, parts, FieldKind.COMPLEX_LIKE))
+            assert not wps_equivalent(wpt([1, 1], parts), wpt(b, parts))
+
+    def test_complex_equivalence_is_agreement_of_projections(self):
+        """Over the complex numbers the product map is injective on dense points."""
+        rng = random.Random(7)
+        for _ in range(2000):
+            parts = tuple(rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in range(rng.randint(2, 4)))
+            weight = Weight(parts, FieldKind.COMPLEX_LIKE)
+            z = random_weighted_point(rng, weight)
+            if rng.random() < 0.8:
+                lam = F(rng.choice([1, 2, 3]), rng.choice([1, 2, 5]))
+                coords = [rng.choice([-1, 1]) * lam**p * c for p, c in zip(parts, z.coords)]
+                w = WeightedPoint(tuple(coords), weight)
+            else:
+                w = random_weighted_point(rng, weight)
+            assert wps_equivalent(z, w) == all(projections_agree(z, w))
+            if wps_equivalent(WeightedPoint(z.coords, Weight(parts)), WeightedPoint(w.coords, Weight(parts))):
+                assert wps_equivalent(z, w)
+
+    def test_huge_part_skips_the_power(self):
+        # g = 3 and mu = 2, so r_0 = 2 would be compared with 2**33333333333333333333
+        parts = [10**20 - 1, 3]
+        assert not wps_equivalent(wpt([1, 1], parts), wpt([2, 2], parts))
+        assert not wps_equivalent(wpt([1, 1], parts), wpt([F(1, 2), F(1, 2)], parts))
+        # mu = -1: its powers are built, at any exponent
+        assert wps_equivalent(wpt([1, 1], parts), wpt([-1, -1], parts))
+        assert not wps_equivalent(wpt([1, 1], parts), wpt([1, -1], parts))
+
+    @pytest.mark.parametrize(
+        "b, verdict",
+        [([8, 4], True), ([F(1, 8), F(1, 4)], True), ([7, 4], False), ([F(1, 7), F(1, 4)], False), ([16, 4], False)],
+    )
+    def test_power_bit_bound(self, b, verdict):
+        # weight (6,4): g = 2 and r_0 must equal mu**3; on the true pairs mu is 2 or 1/2 and r_0 has 4 bits
+        assert wps_equivalent(wpt([1, 1], [6, 4]), wpt(b, [6, 4])) is verdict
 
     def test_zero_pattern_mismatch(self):
         assert not wps_equivalent(wpt([1, 0], [1, 1]), wpt([1, 1], [1, 1]))
