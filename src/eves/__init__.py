@@ -42,13 +42,9 @@ from .reconstruct import (
     unit_weight_expansion,
 )
 from .wps import (
-    AxisProjectionSpec,
     FieldKind,
-    UndefinedPointError,
     Weight,
     WeightedPoint,
-    apply_axis_projection,
-    canonical_axis_projection,
     is_reconstructible,
     nonreconstructible_witness,
     product_map,

@@ -243,8 +243,8 @@ def build_configuration(
     minor an elimination would return, and it is zero exactly when the rows
     are dependent.  Only recorded facts are looked up, so a tuple sharing no
     span with earlier ones costs one elimination, as before.  At full arity
-    (r = dim + 1) every tuple spans the whole space, so the first tuple read
-    records every point's row in it and no tuple is eliminated.
+    (r = dim + 1) every tuple spans the whole space, so no tuple is
+    eliminated: its minor is the determinant of its members' rows.
     """
     if arity < 1:
         raise ConfigurationError("arity must be >= 1")
@@ -273,8 +273,9 @@ def build_configuration(
     spans: dict[RTuple, Subspace] = {}
     brackets: dict[RTuple, tuple[int, int]] = {}
     interned: dict[tuple, Subspace] = {}
-    # facts[name][id(S)]: the point's cleared row at the pivot columns of a span S an
-    # elimination placed it in.  Spans are interned, so id(S) names S and hashes in C.
+    whole: Subspace | None = None  # the span of every tuple at full arity, built at the first one
+    # below full arity, facts[name][id(S)]: the point's cleared row at the pivot columns
+    # of a span S an elimination placed it in.  Spans are interned, so id(S) names S and hashes in C.
     facts: dict[str, dict[int, list[int]]] = {name: {} for name in table}
     proven: dict[int, Subspace] = {}
     for c, color in enumerate(colors):
@@ -308,30 +309,28 @@ def build_configuration(
                 if not isinstance(name, str) or name not in table:
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
-                known = [facts[name] for name in t]
-                shared = iter(known[0])  # the first member's spans that hold every other member
-                for fact in known[1:]:
-                    shared = filter(fact.__contains__, shared)
-                key = next(shared, None)
-                if key is None and arity == dim + 1:
-                    # the first tuple read: every tuple spans the whole space, whose
-                    # echelon basis is the identity, and every point lies in it
-                    whole = Subspace(linalg.identity(arity))
-                    key = id(whole)
-                    proven[key] = whole
-                    for name, pt in table.items():
-                        facts[name][key] = list(pt.row)
-                if key is not None:
-                    span = proven[key]
-                    minor = linalg.integer_det([fact[key] for fact in known])
+                if arity == dim + 1:
+                    # every tuple spans the whole space, whose echelon basis is the identity
+                    if whole is None:
+                        whole = Subspace(linalg.identity(arity))
+                    span, minor = whole, linalg.integer_det([table[name].row for name in t])
                 else:
-                    span, minor = _span([table[name].row for name in t], interned) or (None, 0)
-                    if minor:
-                        key = id(span)
-                        proven[key] = span
-                        for name, fact in zip(t, known):
-                            row = table[name].row
-                            fact[key] = [row[p] for p in span.pivots]
+                    known = [facts[name] for name in t]
+                    shared = iter(known[0])  # the first member's spans that hold every other member
+                    for fact in known[1:]:
+                        shared = filter(fact.__contains__, shared)
+                    key = next(shared, None)
+                    if key is not None:
+                        span = proven[key]
+                        minor = linalg.integer_det([fact[key] for fact in known])
+                    else:
+                        span, minor = _span([table[name].row for name in t], interned) or (None, 0)
+                        if minor:
+                            key = id(span)
+                            proven[key] = span
+                            for name, fact in zip(t, known):
+                                row = table[name].row
+                                fact[key] = [row[p] for p in span.pivots]
                 if not minor:
                     raise ConfigurationError(f"colors[{c}][{k}]: dependent r-tuple {t}")
                 spans[t] = span

@@ -8,18 +8,18 @@ E_p does; over non-reconstructible weights it distinguishes strictly fewer.
 
 ``check_reconstruction_identity`` is the independent check of that claim.
 The classical invariant of the pair (S_i, S_j), expanded to weight (1,1) by
-repeating each tuple of the lists lcm/p_i and lcm/p_j times, is
-[X_i^a : X_j^b], where X_c is the product of color c's brackets and (a, b)
-are the exponents of the projection.  So the check brackets each distinct
-tuple of the configuration once, through the public ``bracket`` with its
-membership check, rather than reading the table stored when the
+repeating each tuple of the lists a and b times, is [X_i^a : X_j^b], where
+X_c is the product of color c's brackets and (a, b) are the exponents of the
+projection, read from ``pair_exponents``.  So the check brackets each
+distinct tuple of the configuration once, through the public ``bracket``
+with its membership check, rather than reading the table stored when the
 configuration was built.  It brackets the members' integer rows and divides
 by the product of their leads, which is the bracket of the canonical
 representatives, so it builds no ``Fraction`` coordinates.  It forms one
 product X_c per color from that table, and ``projections_agree`` checks one
 equation per pair.  Each pair's admissibility is still checked on its
 expansion, which shares the parent's points, tuples and spans and
-multiplies each count by lcm/p.
+multiplies the counts by a and b.
 
 ``compare`` takes its pair verdicts from ``projections_agree`` too, and runs
 ``wps_equivalent`` only when every pair agrees: equivalent invariants agree.
@@ -32,16 +32,16 @@ from dataclasses import dataclass
 
 from .configuration import Configuration, ConfigurationError
 from .invariant import _color_products, _require_h, bracket, eves_invariant
-from .wps import Weight, WeightedPoint, format_rational, index_pairs, product_map, projections_agree, wps_equivalent
+from .wps import (
+    Weight, WeightedPoint, format_rational, index_pairs, pair_exponents, product_map, projections_agree,
+    wps_equivalent,
+)
 
 
 @dataclass(frozen=True)
 class CompareReport:
     ep_equivalent: bool
     reconstruction_equal: bool
-    pairs: tuple[tuple[int, int], ...]
-    entries_a: tuple[WeightedPoint, ...]
-    entries_b: tuple[WeightedPoint, ...]
     pair_equal: tuple[bool, ...]
     invariant_a: WeightedPoint
     invariant_b: WeightedPoint
@@ -73,16 +73,15 @@ def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
     """Repeat each tuple of the two color lists up to the lcm of their weight parts.
 
     The result is a weight (1,1) configuration with ell multiplied by the lcm;
-    admissibility is inherited from the weighted input.  Each multiplicity of
-    color c is multiplied by lcm/p_c; the points, spans and brackets are the input's own.
+    admissibility is inherited from the weighted input.  The multiplicities
+    of the two colors are multiplied by the exponents (a, b) of
+    ``pair_exponents``, which make [X_i^a : X_j^b] the expansion's invariant;
+    the points, spans and brackets are the input's own.
     """
     if len(pair_cfg.weight.parts) != 2:
         raise ValueError("expansion takes a two-color configuration")
-    p_i, p_j = pair_cfg.weight.parts
-    lcm = math.lcm(p_i, p_j)
-    counts = tuple(
-        {t: k * (lcm // p) for t, k in color.items()} for color, p in zip(pair_cfg.counts, (p_i, p_j))
-    )
+    ((_, _, a, b),) = pair_exponents(pair_cfg.weight)
+    counts = tuple({t: k * m for t, k in color.items()} for color, m in zip(pair_cfg.counts, (a, b)))
     return Configuration(
         Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim,
         counts, pair_cfg.points, pair_cfg.spans, pair_cfg.brackets,
@@ -127,9 +126,6 @@ def compare(cfg_a: Configuration, cfg_b: Configuration) -> CompareReport:
     return CompareReport(
         ep_equivalent=all(pair_equal) and wps_equivalent(inv_a, inv_b),
         reconstruction_equal=all(pair_equal),
-        pairs=index_pairs(cfg_a.weight),
-        entries_a=product_map(inv_a),
-        entries_b=product_map(inv_b),
         pair_equal=pair_equal,
         invariant_a=inv_a,
         invariant_b=inv_b,
@@ -156,8 +152,10 @@ def render_reconstruction(entries: tuple[WeightedPoint, ...], full: WeightedPoin
 
 
 def render_compare(report: CompareReport) -> str:
+    """Each pair's entries of the two invariants, then both E_p and the verdicts."""
+    inv_a, inv_b = report.invariant_a, report.invariant_b
     lines = []
-    for (i, j), ea, eb in zip(report.pairs, report.entries_a, report.entries_b):
+    for (i, j), ea, eb in zip(index_pairs(inv_a.weight), product_map(inv_a), product_map(inv_b)):
         lines.append(f"{_pair_label(i, j)}: {_ratio(ea)} / {_ratio(eb)}")
     lines.append(f"E_p: {report.invariant_a} / {report.invariant_b}")
     lines.append(f"ep_equivalent: {'true' if report.ep_equivalent else 'false'}")

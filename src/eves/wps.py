@@ -27,10 +27,6 @@ class FieldKind(Enum):
     COMPLEX_LIKE = "complex"
 
 
-class UndefinedPointError(ValueError):
-    """An axis projection was applied outside its domain (both coordinates zero)."""
-
-
 @dataclass(frozen=True)
 class Weight:
     parts: tuple[int, ...]
@@ -70,23 +66,6 @@ class WeightedPoint:
     def __str__(self) -> str:
         body = " : ".join(format_rational(c) for c in self.coords)
         return f"[{body}]_{self.weight}"
-
-
-@dataclass(frozen=True)
-class AxisProjectionSpec:
-    """Exponents (a, b) for the map z -> [z_i**a : z_j**b]; valid for a weight
-    exactly when p_i*a == p_j*b."""
-
-    i: int
-    j: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.i < self.j):
-            raise ValueError("indices must satisfy 0 <= i < j")
-        if self.a < 1 or self.b < 1:
-            raise ValueError("exponents must be positive")
 
 
 def _bezout_for_gcd(values: list[int]) -> tuple[int, list[int]]:
@@ -152,41 +131,29 @@ def reduce_weight(p: Weight) -> Weight:
     return Weight(tuple(parts), p.field)
 
 
-def canonical_axis_projection(p: Weight, i: int, j: int) -> AxisProjectionSpec:
-    """The lcm-exponent projection: a = lcm(p_i,p_j)/p_i, b = lcm(p_i,p_j)/p_j."""
-    n = len(p.parts) - 1
-    if not (0 <= i < j <= n):
-        raise ValueError(f"indices ({i},{j}) out of range for weight of length {n + 1}")
-    ell = math.lcm(p.parts[i], p.parts[j])
-    return AxisProjectionSpec(i, j, ell // p.parts[i], ell // p.parts[j])
-
-
-def apply_axis_projection(spec: AxisProjectionSpec, z: WeightedPoint) -> WeightedPoint:
-    """Evaluate [z_i**a : z_j**b] as a (1,1)-weighted point."""
-    parts = z.weight.parts
-    if spec.j >= len(parts):
-        raise ValueError("projection indices out of range for this point")
-    if parts[spec.i] * spec.a != parts[spec.j] * spec.b:
-        raise ValueError("exponents do not match the weight: p_i*a != p_j*b")
-    zi, zj = z.coords[spec.i], z.coords[spec.j]
-    if zi == 0 and zj == 0:
-        raise UndefinedPointError(
-            f"projection ({spec.i},{spec.j}) undefined: both coordinates are zero"
-        )
-    return WeightedPoint((zi**spec.a, zj**spec.b), Weight((1, 1), z.weight.field))
-
-
 def index_pairs(p: Weight) -> tuple[tuple[int, int], ...]:
     """All coordinate pairs (i, j) with i < j, in lexicographic order."""
     return tuple(combinations(range(len(p.parts)), 2))
 
 
+def pair_exponents(p: Weight) -> tuple[tuple[int, int, int, int], ...]:
+    """(i, j, a, b) for each index pair, in ``index_pairs`` order, with
+    a = lcm(p_i,p_j)/p_i and b = lcm(p_i,p_j)/p_j: the exponents of the
+    canonical axis projection [z_i**a : z_j**b]."""
+    out = []
+    for i, j in index_pairs(p):
+        ell = math.lcm(p.parts[i], p.parts[j])
+        out.append((i, j, ell // p.parts[i], ell // p.parts[j]))
+    return tuple(out)
+
+
 def product_map(z: WeightedPoint) -> tuple[WeightedPoint, ...]:
-    """Canonical axis projections of z for every index pair, lexicographic order."""
-    return tuple(
-        apply_axis_projection(canonical_axis_projection(z.weight, i, j), z)
-        for i, j in index_pairs(z.weight)
-    )
+    """Canonical axis projections of z for every index pair, lexicographic order.
+
+    A pair whose two coordinates are both zero raises ``ValueError``."""
+    unit = Weight((1, 1), z.weight.field)
+    c = z.coords
+    return tuple(WeightedPoint((c[i] ** a, c[j] ** b), unit) for i, j, a, b in pair_exponents(z.weight))
 
 
 def projections_agree(z: WeightedPoint, w: WeightedPoint) -> tuple[bool, ...]:
@@ -198,8 +165,7 @@ def projections_agree(z: WeightedPoint, w: WeightedPoint) -> tuple[bool, ...]:
     if not z.in_dense_locus():
         raise ValueError("the reference point has a zero coordinate")
     r = [wk / zk for zk, wk in zip(z.coords, w.coords)]
-    specs = (canonical_axis_projection(z.weight, i, j) for i, j in index_pairs(z.weight))
-    return tuple(r[s.i] != 0 and r[s.i] ** s.a == r[s.j] ** s.b for s in specs)
+    return tuple(r[i] != 0 and r[i] ** a == r[j] ** b for i, j, a, b in pair_exponents(z.weight))
 
 
 def is_reconstructible(p: Weight) -> bool:

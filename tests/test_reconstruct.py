@@ -31,7 +31,7 @@ from eves.configuration import RTuple
 from eves.invariant import bracket
 from eves.oracle import brute_invariant
 from eves.reconstruct import render_compare, render_reconstruction
-from eves.wps import FieldKind, UndefinedPointError, index_pairs, product_map
+from eves.wps import FieldKind, index_pairs, product_map
 import conftest
 from conftest import (
     CONFIG_FIXTURES,
@@ -421,11 +421,11 @@ class TestIdentityAgainstPerPairReference:
             check_reconstruction_identity(cfg, WeightedPoint((F(1), F(1), F(1)), cfg.weight))
 
     def test_both_coordinates_of_a_pair_zero(self, fixtures_dir):
-        # the projection of such a point is undefined; the check answers false
+        # the projection of such a point is no point; the check answers false
         cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
         full = WeightedPoint((F(0), F(0), F(1)), cfg.weight)
         assert not check_reconstruction_identity(cfg, full)
-        with pytest.raises(UndefinedPointError):
+        with pytest.raises(ValueError, match="must not all be zero"):
             per_pair_identity(cfg, full)
 
 
@@ -506,12 +506,9 @@ class TestCompare:
             CompareReport(
                 ep_equivalent=True,
                 reconstruction_equal=False,
-                pairs=((0, 1),),
-                entries_a=(pt,),
-                entries_b=(other,),
                 pair_equal=(False,),
                 invariant_a=pt,
-                invariant_b=pt,
+                invariant_b=other,
             )
 
 
@@ -539,7 +536,7 @@ class TestMemberOrder:
             report = compare(cfg, swapped)
             others_even = all(p % 2 == 0 for k, p in enumerate(parts) if k != c)
             assert report.ep_equivalent is (parts[c] % 2 == 1 and others_even)
-            for (i, j), equal in zip(report.pairs, report.pair_equal):
+            for (i, j), equal in zip(index_pairs(cfg.weight), report.pair_equal):
                 if c in (i, j):
                     assert equal is (math.lcm(parts[i], parts[j]) // parts[c] % 2 == 0)
                 else:

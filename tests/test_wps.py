@@ -8,16 +8,13 @@ from hypothesis import given, strategies as st
 
 from eves import wps
 from eves.wps import (
-    AxisProjectionSpec,
     FieldKind,
-    UndefinedPointError,
     Weight,
     WeightedPoint,
-    apply_axis_projection,
-    canonical_axis_projection,
     index_pairs,
     is_reconstructible,
     nonreconstructible_witness,
+    pair_exponents,
     parse_rational,
     parse_weight,
     product_map,
@@ -196,6 +193,40 @@ class TestEquivalence:
             assert wps_equivalent(z, w) and wps_equivalent(w, z)
             assert wps_equivalent(z, v)  # transitivity along the chain
 
+    @pytest.mark.parametrize("field", list(FieldKind), ids=lambda f: f.value)
+    def test_weight_monotonicity(self, field):
+        """Equivalence at weight k*p implies equivalence at p: w = l**(k*p) * z is (l**k)**p * z."""
+        rng = random.Random(f"monotone-{field.value}")
+        finer = coarser = 0
+        for _ in range(300):
+            parts = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 4)))
+            k = rng.choice((2, 3))
+            fine, coarse = Weight(tuple(k * p for p in parts), field), Weight(parts, field)
+            z = random_weighted_point(rng, fine, dense=False)
+            w = scaled(z, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            assert wps_equivalent(z, w)
+            c = rng.randrange(len(parts))
+            partners = [w] + [
+                WeightedPoint(tuple(f * x if n == c else x for n, x in enumerate(w.coords)), fine) for f in (-1, 2)
+            ]
+            lam = rng.choice([-1, 2])  # a scalar at the coarse weight only
+            partners.append(WeightedPoint(tuple(lam**p * x for p, x in zip(parts, z.coords)), fine))
+            for v in partners:
+                at_coarse = wps_equivalent(WeightedPoint(z.coords, coarse), WeightedPoint(v.coords, coarse))
+                if wps_equivalent(z, v):
+                    assert at_coarse
+                    finer += v is not w
+                else:
+                    coarser += at_coarse
+        assert finer  # perturbed partners equivalent at k*p
+        # over the reals some partners are equivalent at p only; over the complex
+        # numbers k*p and p define one relation, as ``reduce_weight`` says
+        assert bool(coarser) is (field is FieldKind.REAL_LIKE)
+
+    def test_weight_monotonicity_has_no_converse(self):
+        assert wps_equivalent(wpt([1, 1], [1, 1]), wpt([-1, -1], [1, 1]))
+        assert not wps_equivalent(wpt([1, 1], [2, 2]), wpt([-1, -1], [2, 2]))
+
     def test_symmetry_on_unrelated_pairs(self):
         rng = random.Random(99)
         for _ in range(300):
@@ -238,35 +269,21 @@ class TestReduceWeight:
 
 
 class TestAxisProjections:
-    def test_canonical_worked_examples(self):
-        spec = canonical_axis_projection(Weight((2, 2, 4)), 0, 2)
-        assert (spec.a, spec.b) == (2, 1)
-        spec = canonical_axis_projection(Weight((2, 2, 4)), 0, 1)
-        assert (spec.a, spec.b) == (1, 1)
-        spec = canonical_axis_projection(Weight((1, 1)), 0, 1)
-        assert (spec.a, spec.b) == (1, 1)
-
-    def test_index_errors(self):
-        with pytest.raises(ValueError):
-            canonical_axis_projection(Weight((1, 1)), 0, 2)
-        with pytest.raises(ValueError):
-            AxisProjectionSpec(1, 1, 1, 1)
+    def test_pair_exponents_worked_example(self):
+        assert pair_exponents(Weight((2, 2, 4))) == ((0, 1, 1, 1), (0, 2, 2, 1), (1, 2, 2, 1))
+        assert pair_exponents(Weight((1, 1))) == ((0, 1, 1, 1),)
 
     def test_apply_worked_examples(self):
-        w = Weight((2, 2, 4))
-        spec = canonical_axis_projection(w, 0, 2)
-        assert apply_axis_projection(spec, wpt([1, 1, 1], [2, 2, 4])).coords == (F(1), F(1))
-        assert apply_axis_projection(spec, wpt([-1, -1, 1], [2, 2, 4])).coords == (F(1), F(1))
-        assert apply_axis_projection(spec, wpt([1, 5, 0], [2, 2, 4])).coords == (F(1), F(0))
+        # pair (0, 2) of weight (2, 2, 4) is [z_0**2 : z_2]
+        assert product_map(wpt([1, 1, 1], [2, 2, 4]))[1].coords == (F(1), F(1))
+        assert product_map(wpt([-1, -1, 1], [2, 2, 4]))[1].coords == (F(1), F(1))
+        assert product_map(wpt([1, 5, 0], [2, 2, 4]))[1].coords == (F(1), F(0))
+        assert product_map(wpt([2, 3, 5], [2, 2, 4]))[1].coords == (F(4), F(5))
 
     def test_apply_outside_domain(self):
-        spec = canonical_axis_projection(Weight((2, 2, 4)), 0, 1)
-        with pytest.raises(UndefinedPointError):
-            apply_axis_projection(spec, wpt([0, 0, 1], [2, 2, 4]))
-
-    def test_apply_rejects_mismatched_exponents(self):
-        with pytest.raises(ValueError):
-            apply_axis_projection(AxisProjectionSpec(0, 1, 1, 2), wpt([1, 1], [1, 1]))
+        # pair (0, 1) has both coordinates zero: [0 : 0] is no point
+        with pytest.raises(ValueError, match="must not all be zero"):
+            product_map(wpt([0, 0, 1], [2, 2, 4]))
 
     def test_product_map_worked_examples(self):
         one_one = wpt([1, 1], [1, 1])
@@ -290,9 +307,8 @@ class TestAxisProjections:
             weight = Weight(parts)
             z = random_weighted_point(rng, weight)
             w = scaled(z, F(rng.choice([-3, -2, 2, 3]), rng.randint(1, 3)))
-            for i, j in index_pairs(weight):
-                spec = canonical_axis_projection(weight, i, j)
-                assert wps_equivalent(apply_axis_projection(spec, z), apply_axis_projection(spec, w))
+            for zp, wp in zip(product_map(z), product_map(w)):
+                assert wps_equivalent(zp, wp)
 
 
 # odd parts only, even parts only, and both
