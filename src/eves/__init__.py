@@ -15,19 +15,14 @@ from .configuration import (
 )
 from .invariant import (
     BasisChoice,
-    ChartError,
     InvariantValue,
     LinearMorphism,
     MorphismError,
     NotHConfigurationError,
-    TrianglePattern,
     apply_morphism,
     bracket,
-    cross_ratio,
     eves_invariant,
     eves_invariant_with_choices,
-    signed_length_bracket,
-    triangle_ratio,
 )
 from .numtheory import (
     ext_gcd,

@@ -309,7 +309,9 @@ def build_configuration(
                 if not isinstance(name, str) or name not in table:
                     raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
             if t not in spans:
-                if arity == dim + 1:
+                if len(set(t)) < arity:
+                    minor = 0  # a repeated member: dependent, with no span or determinant work
+                elif arity == dim + 1:
                     # every tuple spans the whole space, whose echelon basis is the identity
                     if whole is None:
                         whole = Subspace(linalg.identity(arity))

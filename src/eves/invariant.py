@@ -19,7 +19,6 @@ choices enter as scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -35,7 +34,7 @@ from .configuration import (
     validate_h,
 )
 from .linalg import Matrix, Vector
-from .wps import Weight, WeightedPoint
+from .wps import WeightedPoint
 
 
 class NotHConfigurationError(ValueError):
@@ -44,10 +43,6 @@ class NotHConfigurationError(ValueError):
 
 class MorphismError(ValueError):
     """A linear map fails to be injective on some span of the configuration."""
-
-
-class ChartError(ValueError):
-    """A point at infinity was used where the affine chart x_0 != 0 is required."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +54,6 @@ class InvariantValue:
     def __post_init__(self) -> None:
         if not self.point.in_dense_locus():
             raise ValueError("invariant values have all coordinates nonzero")
-
-    def __str__(self) -> str:
-        return str(self.point)
 
 
 @dataclass(frozen=True)
@@ -130,14 +122,6 @@ def _basis_det(span: Subspace, rows: Matrix) -> Fraction:
     return Fraction(span.minor([u for u, _ in cleared]), prod(d for _, d in cleared))
 
 
-def _supplied_basis_det(span: Subspace, rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """``_basis_det`` of rows supplied for ``span``, refused unless they are a basis of it."""
-    rows = linalg.mat(rows)
-    if any(len(row) != len(span.basis[0]) for row in rows) or linalg.rref(rows) != (span.basis, len(rows)):
-        raise ValueError(f"supplied basis does not span {span}")
-    return _basis_det(span, rows)
-
-
 def _require_h(cfg: Configuration) -> None:
     report = validate_h(cfg)
     if not report.h_valid:
@@ -154,7 +138,12 @@ def _chosen_brackets(cfg: Configuration, choices: BasisChoice | None) -> Mapping
     """
     if choices is None:
         return cfg.brackets
-    dets = {s: _supplied_basis_det(s, rows) for s, rows in choices.subspace_bases.items()}
+    dets: dict[Subspace, Fraction] = {}
+    for span, rows in choices.subspace_bases.items():
+        rows = linalg.mat(rows)
+        if any(len(row) != len(span.basis[0]) for row in rows) or linalg.rref(rows) != (span.basis, len(rows)):
+            raise ValueError(f"supplied basis does not span {span}")
+        dets[span] = _basis_det(span, rows)
     factors: dict[str, Fraction] = {}
     for name, rep in choices.point_reps.items():
         if name not in cfg.points:
@@ -270,104 +259,3 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
 
     new_colors = [[tuple(rename[m] for m in t) for t in color] for color in cfg.colors]
     return build_configuration(cfg.weight, cfg.arity, len(rows) - 1, new_colors, points)
-
-
-def _distinct_collinear(points: Sequence[ProjPoint]) -> None:
-    names = [p.name for p in points]
-    if len(set(names)) != len(names):
-        raise ValueError("points must carry distinct names")
-    vectors = [p.coords for p in points]
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            if linalg.rank([vectors[a], vectors[b]]) != 2:
-                raise ValueError(f"points {names[a]!r} and {names[b]!r} coincide")
-    if linalg.rank(vectors) != 2:
-        raise ValueError("points are not collinear")
-
-
-def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> WeightedPoint:
-    """Cross-ratio of the ordered quadruple (a, b, c, d) as a (1,1)-weighted point.
-
-    Encoded as the two-color configuration pairing (d,a),(c,b) against
-    (c,a),(d,b) on their common line.
-    """
-    pts = (a, b, c, d)
-    _distinct_collinear(pts)
-    dim = len(a.coords) - 1
-    colors = [
-        [(d.name, a.name), (c.name, b.name)],
-        [(c.name, a.name), (d.name, b.name)],
-    ]
-    cfg = build_configuration(Weight((1, 1)), 2, dim, colors, {p.name: p for p in pts})
-    return eves_invariant(cfg).point
-
-
-class TrianglePattern(Enum):
-    SIX_POINT = "six-point"
-    FIVE_POINT = "five-point"
-    OCTAHEDRAL = "octahedral"
-
-
-_PATTERNS = {
-    # 1-based indices into the supplied point sequence
-    TrianglePattern.SIX_POINT: (6, [[(1, 2, 4), (3, 5, 6)], [(1, 2, 3), (4, 5, 6)]], (1, 1)),
-    TrianglePattern.FIVE_POINT: (5, [[(1, 2, 4), (3, 5, 1)], [(1, 2, 3), (4, 5, 1)]], (1, 1)),
-    TrianglePattern.OCTAHEDRAL: (
-        6,
-        [[(4, 6, 5), (4, 2, 3), (5, 1, 2), (1, 3, 6)], [(1, 2, 3), (1, 6, 5), (2, 4, 5), (3, 4, 6)]],
-        (2, 2),
-    ),
-}
-
-
-def triangle_ratio(
-    points: Sequence[ProjPoint],
-    pattern: TrianglePattern,
-    weight: Weight | None = None,
-) -> WeightedPoint:
-    """Signed-area style invariants of the classical triangle patterns.
-
-    The six-point and five-point patterns give a (1,1)-weighted ratio of two
-    triangle-bracket products; the octahedral pattern pairs four triangles per
-    color and defaults to weight (2,2) (pass (1,1) to read it classically).
-    """
-    count, lists, default = _PATTERNS[pattern]
-    if len(points) != count:
-        raise ValueError(f"{pattern.value} pattern needs exactly {count} points")
-    names = [p.name for p in points]
-    if len(set(names)) != len(names):
-        raise ValueError("points must carry distinct names")
-    w = weight if weight is not None else Weight(default)
-    dim = len(points[0].coords) - 1
-    colors = [[tuple(names[i - 1] for i in tri) for tri in color] for color in lists]
-    cfg = build_configuration(w, 3, dim, colors, {p.name: p for p in points})
-    return eves_invariant(cfg).point
-
-
-def signed_length_bracket(
-    line: Subspace,
-    seg: RTuple,
-    basis: Sequence[Sequence[Fraction]],
-    points: Mapping[str, ProjPoint],
-) -> Fraction:
-    """Affine parameter difference of a directed segment on a chart line.
-
-    Both basis vectors must have first coordinate 1 and span the line; both
-    endpoints must lie in the chart x_0 != 0.  The bracket of the
-    chart-normalized representatives then equals t_2 - t_1.
-    """
-    if line.dim != 2 or len(basis) != 2:
-        raise ValueError("signed lengths live on lines (two basis vectors)")
-    basis = linalg.mat(basis)
-    if any(row[0] != 1 for row in basis):
-        raise ValueError("basis vectors must be chart-normalized (first coordinate 1)")
-    block = _supplied_basis_det(line, basis)
-    if len(seg) != 2:
-        raise ValueError("a directed segment has exactly two endpoints")
-    reps = {}
-    for name in seg:
-        coords = points[name].coords
-        if coords[0] == 0:
-            raise ChartError(f"endpoint {name!r} is at infinity in the chart x_0 != 0")
-        reps[name] = tuple(x / coords[0] for x in coords)
-    return bracket(seg, line, reps) / block

@@ -13,13 +13,12 @@ from eves import (
     BasisChoice,
     FieldKind,
     LinearMorphism,
-    ProjPoint,
     Weight,
     WeightedPoint,
     apply_morphism,
+    build_configuration,
     check_reconstruction_identity,
     compare,
-    cross_ratio,
     eves_invariant,
     eves_invariant_with_choices,
     is_reconstructible,
@@ -104,18 +103,19 @@ def test_octahedral_fixtures():
 
 
 def test_cross_ratio_invariance_and_direct_formula():
+    cfg = fixture("cross_ratio_quadruple.json")
     rng = random.Random(404)
     values = sorted({F(n, d) for n in range(-9, 10) for d in (1, 2, 3)})
     for _ in range(100):
+        # the fixture's colours (d,a),(c,b) and (c,a),(d,b) on four other points of the line
         ts = rng.sample(values, 4)
-        pts = [ProjPoint(f"p{k}", (F(1), t)) for k, t in enumerate(ts)]
-        base = cross_ratio(*pts)
+        points = {name: (F(1), t) for name, t in zip(("alpha", "beta", "gamma", "delta"), ts)}
+        quadruple = build_configuration(cfg.weight, cfg.arity, cfg.dim, cfg.colors, points)
+        base = eves_invariant(quadruple).point
         for _ in range(20):
-            m = random_invertible_matrix(rng, 2)
-            images = [ProjPoint(p.name, mat_vec(m, p.coords)) for p in pts]
-            assert wps_equivalent(cross_ratio(*images), base)
+            m = LinearMorphism(random_invertible_matrix(rng, 2))
+            assert wps_equivalent(eves_invariant(apply_morphism(quadruple, m)).point, base)
 
-    cfg = fixture("cross_ratio_quadruple.json")
     a = cfg.points["alpha"].coords
     b = cfg.points["beta"].coords
     c = cfg.points["gamma"].coords
@@ -125,9 +125,6 @@ def test_cross_ratio_invariance_and_direct_formula():
         (a[1] * c[0] - a[0] * c[1]) * (b[1] * d[0] - b[0] * d[1]),
     )
     assert eves_invariant(cfg).point.coords == direct
-    assert cross_ratio(
-        ProjPoint("alpha", a), ProjPoint("beta", b), ProjPoint("gamma", c), ProjPoint("delta", d)
-    ).coords == direct
     done("cross-ratio (invariance on 100x20 random cases, direct determinant formula)")
 
 

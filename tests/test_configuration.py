@@ -435,6 +435,16 @@ class TestFullArity:
         assert str(caught.value) == message
         assert identities == []
 
+    @pytest.mark.parametrize("t, dim", [(("a",) * 3001, 3000), (("a", "b", "a"), 5)], ids=["full-arity", "in-a-span"])
+    def test_repeated_member_refused_before_span_work(self, monkeypatch, t, dim):
+        # a tuple listing one point twice is dependent whatever the point is
+        calls = [count_calls(monkeypatch, linalg, name) for name in ("identity", "integer_det", "integer_echelon_minor")]
+        points = {name: [1, k] + [0] * (dim - 1) for k, name in enumerate("ab")}
+        with pytest.raises(ConfigurationError) as caught:
+            build_configuration(Weight((1, 1)), len(t), dim, [[t], [t]], points)
+        assert str(caught.value) == f"colors[0][0]: dependent r-tuple {t!r}"
+        assert calls == [[], [], []]
+
 
 class TestDegrees:
     def test_cross_ratio_degrees(self, fixtures_dir):

@@ -8,26 +8,22 @@ from hypothesis import given, strategies as st
 
 from eves import (
     BasisChoice,
-    ChartError,
+    ConfigurationError,
+    InvariantValue,
     LinearMorphism,
     MorphismError,
     NotHConfigurationError,
-    ProjPoint,
     RTuple,
     Subspace,
-    TrianglePattern,
     Weight,
     WeightedPoint,
     apply_morphism,
     bracket,
     build_configuration,
     check_reconstruction_identity,
-    cross_ratio,
     eves_invariant,
     eves_invariant_with_choices,
     load_configuration,
-    signed_length_bracket,
-    triangle_ratio,
     validate_h,
     wps_equivalent,
 )
@@ -45,14 +41,6 @@ from conftest import (
 )
 
 ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
-
-
-def plane_point(name, x, y):
-    return ProjPoint(name, (F(1), F(x), F(y)))
-
-
-def line_point(name, t):
-    return ProjPoint(name, (F(1), F(t)))
 
 
 def classes_equal(a: WeightedPoint, b) -> bool:
@@ -153,6 +141,10 @@ class TestEvesInvariant:
         )
         with pytest.raises(NotHConfigurationError, match="t1"):
             eves_invariant(cfg)
+
+    def test_value_with_a_zero_coordinate_refused(self):
+        with pytest.raises(ValueError, match="all coordinates nonzero"):
+            InvariantValue(WeightedPoint((F(0), F(1)), Weight((1, 1))))
 
 
 @pytest.fixture
@@ -600,25 +592,31 @@ class TestMetamorphic:
         assert eves_invariant(permuted).point.coords == tuple(coords[c] for c in order)
 
 
+def on_points(name, coords):
+    """Fixture ``name``'s weight, arity and colour lists on points with other coordinates."""
+    cfg = load_configuration(FIXTURES / name)
+    dim = len(next(iter(coords.values()))) - 1
+    return build_configuration(cfg.weight, cfg.arity, dim, cfg.colors, coords)
+
+
+def quadruple(a, b, c, d):
+    """The cross-ratio configuration of (a, b, c, d): the fixture's colours (d,a),(c,b) and (c,a),(d,b)."""
+    return on_points("cross_ratio_quadruple.json", dict(zip(("alpha", "beta", "gamma", "delta"), (a, b, c, d))))
+
+
 class TestCrossRatio:
     def test_affine_0123(self):
-        pts = [line_point(n, t) for n, t in [("a", 0), ("b", 1), ("c", 2), ("d", 3)]]
-        assert cross_ratio(*pts).coords == (F(3), F(4))
+        assert eves_invariant(quadruple((1, 0), (1, 1), (1, 2), (1, 3))).point.coords == (F(3), F(4))
 
     def test_harmonic_with_infinity(self):
-        a, b = line_point("a", 0), line_point("b", 2)
-        c, d = line_point("c", 1), ProjPoint("d", (F(0), F(1)))
-        assert cross_ratio(a, b, c, d).coords == (F(-1), F(1))
+        assert eves_invariant(quadruple((1, 0), (1, 2), (1, 1), (0, 1))).point.coords == (F(-1), F(1))
 
     def test_invariance_under_plane_maps(self):
         rng = random.Random(19)
         for _ in range(25):
-            ts = rng.sample(range(-8, 9), 4)
-            pts = [line_point(f"p{k}", t) for k, t in enumerate(ts)]
-            base = cross_ratio(*pts)
-            m = random_invertible_matrix(rng, 2)
-            imgs = [ProjPoint(p.name, mat_vec(m, p.coords)) for p in pts]
-            assert wps_equivalent(cross_ratio(*imgs), base)
+            cfg = quadruple(*[(1, t) for t in rng.sample(range(-8, 9), 4)])
+            m = LinearMorphism(random_invertible_matrix(rng, 2))
+            assert wps_equivalent(eves_invariant(apply_morphism(cfg, m)).point, eves_invariant(cfg).point)
 
     def test_matches_direct_determinant_formula(self):
         # product of endpoint 2x2 determinants, evaluated on canonical representatives
@@ -627,146 +625,80 @@ class TestCrossRatio:
         for _ in range(100):
             ts = rng.sample(values, 4)
             scale = [F(rng.choice([1, 2, 3, -2])) for _ in range(4)]
-            pts = [
-                ProjPoint(f"p{k}", (s * F(1), s * t))
-                for k, (t, s) in enumerate(zip(ts, scale))
-            ]
-            a, b, c, d = [linalg.scale_first_nonzero(p.coords) for p in pts]
+            coords = [(s, s * t) for t, s in zip(ts, scale)]
+            a, b, c, d = [linalg.scale_first_nonzero(v) for v in coords]
             direct = (
                 (a[1] * d[0] - a[0] * d[1]) * (b[1] * c[0] - b[0] * c[1]),
                 (a[1] * c[0] - a[0] * c[1]) * (b[1] * d[0] - b[0] * d[1]),
             )
-            value = cross_ratio(*pts)
-            assert value.coords == direct
+            assert eves_invariant(quadruple(*coords)).point.coords == direct
 
     def test_rejects_coincident_and_noncollinear(self):
-        a = plane_point("a", 0, 0)
-        b = plane_point("b", 1, 0)
-        c = plane_point("c", 2, 0)
-        d = plane_point("d", 1, 1)
-        with pytest.raises(ValueError, match="not collinear"):
-            cross_ratio(a, b, c, d)
-        with pytest.raises(ValueError, match="coincide"):
-            cross_ratio(a, b, c, ProjPoint("d", (F(2), F(2), F(0))))
-
-    def test_rejects_repeated_names(self):
-        a, b, c = line_point("a", 0), line_point("b", 1), line_point("c", 2)
-        with pytest.raises(ValueError, match="distinct names"):
-            cross_ratio(a, b, c, line_point("a", 3))
+        # d = 2b makes the pair (d, b) dependent; a point off the line a, b, c is not admissible
+        a, b, c = (1, 0, 0), (1, 1, 0), (1, 2, 0)
+        with pytest.raises(ConfigurationError, match="dependent"):
+            quadruple(a, b, c, (2, 2, 0))
+        with pytest.raises(NotHConfigurationError):
+            eves_invariant(quadruple(a, b, c, (1, 1, 1)))
 
 
 class TestTriangleRatio:
-    def test_six_point_value(self):
-        coords = [(0, 0), (4, 0), (1, 3), (2, 1), (3, 2), (0, 2)]
-        pts = [plane_point(f"p{k}", x, y) for k, (x, y) in enumerate(coords, start=1)]
-        value = triangle_ratio(pts, TrianglePattern.SIX_POINT)
-        assert value.coords == (F(-12), F(36))
+    def test_six_point_value(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "area_ratio_six_points.json")
+        assert eves_invariant(cfg).point.coords == (F(-12), F(36))
 
-    def test_five_point_value(self):
-        coords = [(0, 0), (4, 0), (1, 3), (2, 1), (3, 2)]
-        pts = [plane_point(f"p{k}", x, y) for k, (x, y) in enumerate(coords, start=1)]
-        value = triangle_ratio(pts, TrianglePattern.FIVE_POINT)
-        assert value.coords == (F(-28), F(12))
+    def test_five_point_value(self, fixtures_dir):
+        cfg = load_configuration(fixtures_dir / "area_ratio_five_points.json")
+        assert eves_invariant(cfg).point.coords == (F(-28), F(12))
 
-    def test_octahedral_swap_phenomenon(self):
-        coords = [(0, 0), (4, 0), (1, 3), (2, 1), (3, 2), (1, 1)]
-        pts = [plane_point(f"p{k}", x, y) for k, (x, y) in enumerate(coords, start=1)]
-        e22 = triangle_ratio(pts, TrianglePattern.OCTAHEDRAL)
-        e11 = triangle_ratio(pts, TrianglePattern.OCTAHEDRAL, Weight((1, 1)))
+    def test_octahedral_swap_phenomenon(self, fixtures_dir):
+        s = load_configuration(fixtures_dir / "octahedral_generic_S.json")
+        e22 = eves_invariant(s).point
+        e11 = eves_invariant(build_configuration(Weight((1, 1)), s.arity, s.dim, s.colors, s.points)).point
         assert e22.weight.parts == (2, 2) and e11.weight.parts == (1, 1)
         flipped22 = WeightedPoint((-e22.coords[0], -e22.coords[1]), e22.weight)
         assert not wps_equivalent(e22, flipped22)
         flipped11 = WeightedPoint((-e11.coords[0], -e11.coords[1]), e11.weight)
         assert wps_equivalent(e11, flipped11)
 
-    def test_conic_gives_unit_ratio(self):
-        coords = [(1, 1), (2, F(1, 2)), (3, F(1, 3)), (-1, -1), (-2, F(-1, 2)), (F(1, 2), 2)]
-        pts = [plane_point(f"p{k}", x, y) for k, (x, y) in enumerate(coords, start=1)]
-        value = triangle_ratio(pts, TrianglePattern.OCTAHEDRAL, Weight((1, 1)))
-        assert wps_equivalent(value, ONE_ONE)
+    def test_conic_gives_unit_ratio(self, fixtures_dir):
+        conic = load_configuration(fixtures_dir / "octahedral_conic.json")
+        at_one_one = build_configuration(Weight((1, 1)), conic.arity, conic.dim, conic.colors, conic.points)
+        assert wps_equivalent(eves_invariant(at_one_one).point, ONE_ONE)
 
     def test_collinear_triple_rejected(self):
         coords = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 2), (1, 1)]
-        pts = [plane_point(f"p{k}", x, y) for k, (x, y) in enumerate(coords, start=1)]
-        with pytest.raises(ValueError, match="dependent"):
-            triangle_ratio(pts, TrianglePattern.SIX_POINT)
-
-    def test_point_count_checked(self):
-        pts = [plane_point("p1", 0, 0)]
-        with pytest.raises(ValueError, match="exactly"):
-            triangle_ratio(pts, TrianglePattern.SIX_POINT)
-
-    def test_repeated_names_rejected(self):
-        coords = [(0, 0), (4, 0), (1, 3), (2, 1), (3, 2)]
-        pts = [plane_point(f"p{k}", x, y) for k, (x, y) in enumerate(coords, start=1)]
-        with pytest.raises(ValueError, match="distinct names"):
-            triangle_ratio(pts + [plane_point("p1", 0, 2)], TrianglePattern.SIX_POINT)
+        points = {f"p{k}": (1, x, y) for k, (x, y) in enumerate(coords, start=1)}
+        with pytest.raises(ConfigurationError, match="dependent"):
+            on_points("area_ratio_six_points.json", points)
 
 
 class TestSignedLength:
-    def line(self):
-        pts = {
-            "o": ProjPoint("o", (F(1), F(0))),
-            "u": ProjPoint("u", (F(1), F(1))),
-            "p2": ProjPoint("p2", (F(1), F(2))),
-            "p5": ProjPoint("p5", (F(1), F(5))),
-            "inf": ProjPoint("inf", (F(0), F(1))),
-        }
-        return Subspace(linalg.identity(2)), pts
+    """On a line, the bracket of representatives scaled to x_0 = 1, in a basis of
+    two such vectors, is the difference t_2 - t_1 of the endpoints' affine parameters."""
+
+    REPS = {name: (F(1), F(t)) for name, t in [("o", 0), ("u", 1), ("p2", 2), ("p5", 5)]}
+    CHART = ((F(1), F(0)), (F(1), F(1)))
 
     def test_unit_segment(self):
-        line, pts = self.line()
-        basis = ((F(1), F(0)), (F(1), F(1)))
-        assert signed_length_bracket(line, RTuple(("o", "u")), basis, pts) == 1
+        assert bracket(RTuple(("o", "u")), self.CHART, self.REPS) == 1
 
     def test_parameter_difference(self):
-        line, pts = self.line()
-        basis = ((F(1), F(0)), (F(1), F(1)))
-        assert signed_length_bracket(line, RTuple(("p2", "p5")), basis, pts) == 3
-        assert signed_length_bracket(line, RTuple(("p5", "p2")), basis, pts) == -3
-
-    def test_infinity_rejected(self):
-        line, pts = self.line()
-        basis = ((F(1), F(0)), (F(1), F(1)))
-        with pytest.raises(ChartError):
-            signed_length_bracket(line, RTuple(("o", "inf")), basis, pts)
-
-    def test_argument_checks(self):
-        line, pts = self.line()
-        basis = ((F(1), F(0)), (F(1), F(1)))
-        plane = Subspace(linalg.identity(3))
-        with pytest.raises(ValueError, match="signed lengths live on lines"):
-            signed_length_bracket(plane, RTuple(("o", "u")), basis, pts)
-        with pytest.raises(ValueError, match="signed lengths live on lines"):
-            signed_length_bracket(line, RTuple(("o", "u")), basis + ((F(1), F(2)),), pts)
-        with pytest.raises(ValueError, match="supplied basis does not span"):
-            signed_length_bracket(line, RTuple(("o", "u")), ((F(1), F(0)), (F(1), F(0))), pts)
-        with pytest.raises(ValueError, match="exactly two endpoints"):
-            signed_length_bracket(line, RTuple(("o", "u", "p2")), basis, pts)
-
-    def test_chart_normalization_required(self):
-        line, pts = self.line()
-        with pytest.raises(ValueError, match="chart-normalized"):
-            signed_length_bracket(line, RTuple(("o", "u")), ((F(2), F(0)), (F(1), F(1))), pts)
+        assert bracket(RTuple(("p2", "p5")), self.CHART, self.REPS) == 3
+        assert bracket(RTuple(("p5", "p2")), self.CHART, self.REPS) == -3
 
     def test_zero_length_segment(self):
-        line, pts = self.line()
-        basis = ((F(1), F(0)), (F(1), F(1)))
-        assert signed_length_bracket(line, RTuple(("o", "o")), basis, pts) == 0
+        assert bracket(RTuple(("o", "o")), self.CHART, self.REPS) == 0
 
     def test_chart_basis_of_another_line_rejected(self):
-        # the line z = 0 in the plane, and a chart basis of the line y = 0
-        line = Subspace(((F(1), F(0), F(0)), (F(0), F(1), F(0))))
-        pts = {"o": ProjPoint("o", (F(1), F(0), F(0))), "u": ProjPoint("u", (F(1), F(1), F(0)))}
+        # the points lie on the line z = 0 in the plane, and the basis spans the line y = 0
+        reps = {"o": (F(1), F(0), F(0)), "u": (F(1), F(1), F(0))}
         basis = ((F(1), F(0), F(0)), (F(1), F(0), F(1)))
         with pytest.raises(ValueError, match="basis does not span"):
-            signed_length_bracket(line, RTuple(("o", "u")), basis, pts)
+            bracket(RTuple(("o", "u")), basis, reps)
 
     def test_length_ratios_basis_free(self):
-        line, pts = self.line()
-        b1 = ((F(1), F(0)), (F(1), F(1)))
-        b2 = ((F(1), F(7)), (F(1), F(4)))  # other start point, other unit, other direction
+        other = ((F(1), F(7)), (F(1), F(4)))  # other start point, other unit, other direction
         seg_a, seg_b = RTuple(("o", "p5")), RTuple(("p2", "u"))
-        r1 = signed_length_bracket(line, seg_a, b1, pts) / signed_length_bracket(line, seg_b, b1, pts)
-        r2 = signed_length_bracket(line, seg_a, b2, pts) / signed_length_bracket(line, seg_b, b2, pts)
-        assert r1 == r2
+        ratios = [bracket(seg_a, basis, self.REPS) / bracket(seg_b, basis, self.REPS) for basis in (self.CHART, other)]
+        assert ratios == [-5, -5]  # (5 - 0) / (1 - 2)
