@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .wps import MAX_RATIONAL_CHARS, _PLAIN_INTEGER, FieldKind, Weight, _int_text, format_rational, parse_rational
+from .wps import MAX_RATIONAL_CHARS, _PLAIN_INTEGER, FieldKind, Weight, _int_text, _shown, format_rational, parse_rational
 
 
 # Input limits, checked before parsing; far above the fixtures and the benchmark's inputs
@@ -307,7 +307,7 @@ def build_configuration(
                 )
             for name in t:
                 if not isinstance(name, str) or name not in table:
-                    raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {name!r}")
+                    raise ConfigurationError(f"colors[{c}][{k}]: unknown point name {_shown(name)}")
             if t not in spans:
                 if len(set(t)) < arity:
                     minor = 0  # a repeated member: dependent, with no span or determinant work
@@ -334,7 +334,7 @@ def build_configuration(
                                 row = table[name].row
                                 fact[key] = [row[p] for p in span.pivots]
                 if not minor:
-                    raise ConfigurationError(f"colors[{c}][{k}]: dependent r-tuple {t}")
+                    raise ConfigurationError(f"colors[{c}][{k}]: dependent r-tuple {_shown(t)}")
                 spans[t] = span
                 lead_product = 1
                 for name in t:

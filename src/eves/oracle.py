@@ -4,9 +4,11 @@ Nothing here shares computational routines with the main pipeline: the scalar
 search tries every bounded rational directly against the defining equations,
 the finite-field enumeration builds equivalence classes as orbits, and the
 invariant is re-evaluated with cofactor determinants, Cramer solves, and a
-different representative normalization.  Admissibility is recounted from the
-list view ``Configuration.colors``, one occurrence at a time, over the
-oracle's own span groups, so the stored multiplicities are checked end to end.
+different representative normalization.  Span groups are keyed by
+normalized Plücker coordinates from the same cofactor minors, with no echelon
+form.  Admissibility is recounted from the list view ``Configuration.colors``,
+one occurrence at a time, over these groups, so the stored multiplicities are
+checked end to end.
 """
 
 from __future__ import annotations
@@ -121,21 +123,6 @@ def _last_nonzero_scaled(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(x / pivot for x in v)
 
 
-def _in_span(basis: list[tuple[Fraction, ...]], v: tuple[Fraction, ...]) -> bool:
-    """Rank test via vanishing of all (r+1)-minors of the stacked matrix."""
-    rows = [list(b) for b in basis] + [list(v)]
-    n_cols = len(v)
-    for cols in combinations(range(n_cols), len(rows)):
-        sub = [[row[c] for c in cols] for row in rows]
-        if _cofactor_det(sub) != 0:
-            return False
-    return True
-
-
-def _same_span(t1: list[tuple[Fraction, ...]], t2: list[tuple[Fraction, ...]]) -> bool:
-    return all(_in_span(t1, v) for v in t2)
-
-
 def _cramer_coords(basis: list[tuple[Fraction, ...]], pivot_cols: tuple[int, ...], v: tuple[Fraction, ...]) -> list[Fraction]:
     r = len(basis)
     m = [[basis[i][c] for i in range(r)] for c in pivot_cols]
@@ -162,23 +149,31 @@ def _pivot_columns(basis: list[tuple[Fraction, ...]]) -> tuple[int, ...]:
     raise ValueError("basis rows are linearly dependent")
 
 
+def _plucker_key(vectors: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    """The tuple's r×r minors, in column-combination order, divided by the first
+    nonzero one.  Scaling a member scales every minor alike, and so does any
+    change of basis of the span, so the key depends on the span alone."""
+    columns = combinations(range(len(vectors[0])), len(vectors))
+    minors = [_cofactor_det([[v[c] for c in cols] for v in vectors]) for cols in columns]
+    lead = next((m for m in minors if m != 0), None)
+    if lead is None:
+        raise ValueError("basis rows are linearly dependent")
+    return tuple(m / lead for m in minors)
+
+
 def _span_groups(cfg: Configuration, reps: dict[str, tuple[Fraction, ...]]) -> tuple[list[list[tuple[Fraction, ...]]], dict[RTuple, int]]:
-    """Distinct tuples grouped by span with minor-vanishing rank tests; each
-    group's basis is the representative tuple of its first occurrence (colors
-    scanned in order)."""
+    """Distinct tuples grouped by ``_plucker_key``; each group's basis is the
+    representative tuple of its first occurrence (colors scanned in order)."""
     group_bases: list[list[tuple[Fraction, ...]]] = []
     tuple_group: dict[RTuple, int] = {}
+    groups: dict[tuple[Fraction, ...], int] = {}
     for color in cfg.colors:
         for t in color:
             if t in tuple_group:
                 continue
             vectors = [reps[name] for name in t]
-            for idx, basis in enumerate(group_bases):
-                if _same_span(basis, vectors) and _same_span(vectors, basis):
-                    tuple_group[t] = idx
-                    break
-            else:
-                tuple_group[t] = len(group_bases)
+            idx = tuple_group[t] = groups.setdefault(_plucker_key(vectors), len(group_bases))
+            if idx == len(group_bases):
                 group_bases.append(vectors)
     return group_bases, tuple_group
 
@@ -240,8 +235,8 @@ def brute_invariant(cfg: Configuration) -> InvariantValue:
     span's basis is the representative tuple of its first occurrence (colors
     scanned in order); coordinates come from Cramer solves and determinants
     from cofactor expansion.  Each distinct tuple is bracketed once, and its
-    bracket is multiplied in once per occurrence in the list view.  Span
-    grouping uses minor-vanishing rank tests rather than echelon forms, and
+    bracket is multiplied in once per occurrence in the list view.  Spans are
+    grouped by normalized Plücker coordinates rather than echelon forms, and
     admissibility is ``brute_degrees``' recount.
     """
     reps = {name: _last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}

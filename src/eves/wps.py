@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -228,10 +229,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"invalid rational {_shown(body)}") from None
 
 
-def _shown(text: str) -> str:
-    """Input text for an error message: quoted when short, otherwise only its length."""
-    quoted = repr(text)
-    return quoted if len(quoted) <= 40 else f"of {len(text)} characters"
+def _shown(value: object) -> str:
+    """Input for an error message: its repr when short, otherwise only its size
+    (the characters of a str, the members of a tuple) or its type."""
+    with suppress(ValueError):  # repr refuses an integer past the digit limit
+        if len(quoted := repr(value)) <= 40:
+            return quoted
+    unit = {str: "characters", tuple: "members"}.get(type(value))
+    return f"of {len(value)} {unit}" if unit else f"of type {type(value).__name__}"
 
 
 def format_rational(x: Fraction) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import settings
 
 from eves import Weight, WeightedPoint, build_configuration, product_map, wps_equivalent
 from eves import linalg
+from eves.oracle import _cofactor_det
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -79,6 +81,35 @@ def det(rows) -> Fraction:
     row by row, then ``linalg.integer_det``."""
     cleared = [linalg.clear_denominators(linalg.vec(row)) for row in rows]
     return Fraction(linalg.integer_det([ints for ints, _ in cleared]), math.prod(d for _, d in cleared))
+
+
+def _in_span(basis, v) -> bool:
+    """Rank test via vanishing of all (r+1)-minors of the stacked matrix."""
+    rows = [list(b) for b in basis] + [list(v)]
+    for cols in combinations(range(len(v)), len(rows)):
+        if _cofactor_det([[row[c] for c in cols] for row in rows]) != 0:
+            return False
+    return True
+
+
+def span_groups_by_rank_tests(cfg, reps) -> tuple:
+    """The reference for ``oracle._span_groups``: each new distinct tuple is
+    tested against every group found so far, its members in the group's span
+    and the group's basis in its span, with ``_in_span``."""
+    group_bases, tuple_group = [], {}
+    for color in cfg.colors:
+        for t in color:
+            if t in tuple_group:
+                continue
+            vectors = [reps[name] for name in t]
+            for idx, basis in enumerate(group_bases):
+                if all(_in_span(basis, v) for v in vectors) and all(_in_span(vectors, b) for b in basis):
+                    tuple_group[t] = idx
+                    break
+            else:
+                tuple_group[t] = len(group_bases)
+                group_bases.append(vectors)
+    return group_bases, tuple_group
 
 
 def random_invertible_matrix(rng: random.Random, n: int) -> tuple:

@@ -190,6 +190,11 @@ MALFORMED = {
     "dim-negative": (document(dim=-1), "dimension must be >= 0"),
     "color-count": (document(colors=[[["a", "b"]]]), "1 color lists for a weight of length 2"),
     "tuple-length": (document(colors=[[["a"]], [["a", "b"]]]), "colors[0][0]: tuple has 1 members, expected 2"),
+    # a long name or tuple is named by its length, in a message under 200 bytes
+    "long-name": (document(colors=[[["a", "x" * 100_000]], [["a", "b"]]]),
+                  "colors[0][0]: unknown point name of 100000 characters"),
+    "long-tuple": (document(arity=2000, dim=1999, points={"a": ["1"] + ["0"] * 1999}, colors=[[["a"] * 2000]] * 2),
+                   "colors[0][0]: dependent r-tuple of 2000 members"),
 }
 
 
@@ -207,6 +212,55 @@ def test_malformed_input_exits_two(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+def mutated(rng: random.Random, doc: dict) -> dict:
+    """``doc`` with one seeded change: a weight part, the arity, the dim, a
+    coordinate or a member; the members of every tuple of a colour reversed;
+    a colour replaced by a copy of another, or dropped."""
+    doc = json.loads(json.dumps(doc))
+    colors, weight = doc["colors"], doc["weight"]
+    kind = rng.choice(["weight", "arity", "dim", "coordinate", "member", "reverse", "duplicate", "drop"])
+    if kind == "weight":
+        k = rng.randrange(len(weight))
+        weight[k] = rng.choice([weight[k] + 1, 2 * weight[k], 0, -1, "1", 10**30])
+    elif kind in ("arity", "dim"):
+        doc[kind] += rng.choice([-1, 1])
+    elif kind == "coordinate":
+        row = doc["points"][rng.choice(sorted(doc["points"]))]
+        row[rng.randrange(len(row))] = rng.choice(["0", "-1", "2/3", "7", "x", "1/0", 3])
+    elif kind == "member":
+        t = rng.choice(rng.choice(colors))
+        t[rng.randrange(len(t))] = rng.choice([*doc["points"], "nope", 1])
+    elif kind == "reverse":
+        for t in rng.choice(colors):
+            t.reverse()
+    elif kind == "duplicate":
+        i, j = rng.sample(range(len(colors)), 2)
+        colors[j] = json.loads(json.dumps(colors[i]))
+    else:
+        colors.pop(rng.randrange(len(colors)))
+    return doc
+
+
+def test_mutated_fixtures_get_a_verdict_or_a_short_error(capsys, tmp_path):
+    """Every subcommand that reads a configuration, on seeded one-change
+    mutants of every fixture, exits with a verdict or an input error (0 to 3),
+    never with an internal error, and writes under 1 KB to stderr."""
+    rng = random.Random(22)
+    matrix = str(FIXTURES / "projection_matrix.json")
+    for name in CONFIG_FIXTURES:
+        source = FIXTURES / name
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        for k in range(25):
+            path = tmp_path / f"{k}-{name}"
+            path.write_text(json.dumps(mutated(rng, doc)))
+            for argv in (["validate", "--oracle", path], ["invariant", "--oracle", path],
+                         ["reconstruct", "--oracle", path], ["compare", "--oracle", source, path],
+                         ["transform", path, "--matrix", matrix]):
+                code, _, err = run_cli(capsys, *map(str, argv))
+                assert code in (0, 1, 2, 3), (argv, err)
+                assert "internal error" not in err and len(err.encode()) < 1024, (argv, err)
 
 
 class TestInvariant:

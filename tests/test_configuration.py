@@ -188,11 +188,18 @@ class TestTupleKeys:
         assert cfg.counts == ({("t0", "t1"): 3}, {("t2", "t1"): 3})
         assert list(cfg.spans) == [("t0", "t1"), ("t2", "t1")]
 
-    @pytest.mark.parametrize("member", [1, ["b"]], ids=["int", "list"])
-    def test_member_not_a_name_refused(self, member):
+    @pytest.mark.parametrize(
+        "member, shown",
+        [(1, "1"), (["b"], "['b']"), ("x" * 100_000, "of 100000 characters"), (10**5000, "of type int"),
+         (["b"] * 50, "of type list")],
+        ids=["int", "list", "long-str", "huge-int", "long-list"],
+    )
+    def test_member_not_a_name_refused(self, member, shown):
+        # a member is quoted when short, otherwise named by its length or its type
         pts = {"a": (F(1), F(0)), "b": (F(0), F(1)), "1": (F(1), F(1))}
-        with pytest.raises(ConfigurationError, match="unknown point name"):
+        with pytest.raises(ConfigurationError) as caught:
             build_configuration(Weight((1, 1)), 2, 1, [[("a", member)], [("a", "b")]], pts)
+        assert str(caught.value) == f"colors[0][0]: unknown point name {shown}"
 
     def test_str_is_not_a_tuple_in_build(self):
         pts = {"a": (F(1), F(0)), "b": (F(0), F(1))}
@@ -435,14 +442,18 @@ class TestFullArity:
         assert str(caught.value) == message
         assert identities == []
 
-    @pytest.mark.parametrize("t, dim", [(("a",) * 3001, 3000), (("a", "b", "a"), 5)], ids=["full-arity", "in-a-span"])
-    def test_repeated_member_refused_before_span_work(self, monkeypatch, t, dim):
+    @pytest.mark.parametrize(
+        "t, dim, shown",
+        [(("a",) * 3001, 3000, "of 3001 members"), (("a", "b", "a"), 5, "('a', 'b', 'a')")],
+        ids=["full-arity", "in-a-span"],
+    )
+    def test_repeated_member_refused_before_span_work(self, monkeypatch, t, dim, shown):
         # a tuple listing one point twice is dependent whatever the point is
         calls = [count_calls(monkeypatch, linalg, name) for name in ("identity", "integer_det", "integer_echelon_minor")]
         points = {name: [1, k] + [0] * (dim - 1) for k, name in enumerate("ab")}
         with pytest.raises(ConfigurationError) as caught:
             build_configuration(Weight((1, 1)), len(t), dim, [[t], [t]], points)
-        assert str(caught.value) == f"colors[0][0]: dependent r-tuple {t!r}"
+        assert str(caught.value) == f"colors[0][0]: dependent r-tuple {shown}"
         assert calls == [[], [], []]
 
 

@@ -26,8 +26,8 @@ from eves import (
     linalg,
     wps_equivalent,
 )
-from eves.oracle import _cofactor_det, _cramer_coords, _in_span, _pivot_columns, brute_invariant
-from conftest import det, random_h_configuration, random_simplex_configuration
+from eves.oracle import _cofactor_det, _cramer_coords, _pivot_columns, brute_invariant
+from conftest import _in_span, det, random_h_configuration, random_simplex_configuration
 
 BIG = 10**12
 

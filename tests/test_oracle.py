@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from eves import (
     validate_h,
     wps_equivalent,
 )
-from eves import oracle
+from eves import oracle, parse_configuration
 from eves.oracle import (
     bounded_lambda_search,
     brute_degrees,
@@ -23,7 +24,8 @@ from eves.oracle import (
     report_matches_recount,
 )
 from eves.reconstruct import restrict_pair, unit_weight_expansion
-from conftest import random_h_configuration, random_simplex_configuration
+from conftest import random_h_configuration, random_simplex_configuration, span_groups_by_rank_tests
+from test_golden_cli import lines_document
 
 
 def wpt(coords, parts):
@@ -150,6 +152,51 @@ class TestBruteInvariant:
             value = brute_invariant(cfg)
             assert len(calls) == cfg.arity * len(distinct)
             assert wps_equivalent(value.point, eves_invariant(cfg).point)
+
+
+def last_nonzero_reps(cfg):
+    return {name: oracle._last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}
+
+
+class TestSpanGroups:
+    """Span groups keyed by normalized Plücker coordinates, one key per distinct tuple."""
+
+    def test_matches_the_rank_test_scan(self, fixtures_dir):
+        rng = random.Random(11)
+        cfgs = [load_configuration(path) for path in sorted(fixtures_dir.glob("*.json"))
+                if path.name != "projection_matrix.json"]
+        cfgs += [random_h_configuration(rng) for _ in range(100)]
+        cfgs += [random_simplex_configuration(rng) for _ in range(100)]
+        cfgs.append(parse_configuration(json.dumps(lines_document(random.Random(5), 20, 8))))
+        for cfg in cfgs:
+            reps = last_nonzero_reps(cfg)
+            assert oracle._span_groups(cfg, reps) == span_groups_by_rank_tests(cfg, reps)
+
+    def test_one_key_per_distinct_tuple(self, monkeypatch):
+        cfg = parse_configuration(json.dumps(lines_document(random.Random(5), 40, 8)))
+        calls = []
+        key = oracle._plucker_key
+        monkeypatch.setattr(oracle, "_plucker_key", lambda vectors: calls.append(vectors) or key(vectors))
+        value = brute_invariant(cfg)
+        distinct = {t for color in cfg.colors for t in color}
+        assert len(calls) == len(distinct) < sum(map(len, cfg.colors)) == 1280
+        assert wps_equivalent(value.point, eves_invariant(cfg).point)
+
+    def test_scaled_and_reordered_members_share_a_group(self):
+        # a, b, c and d lie on one line of P^2; e does not
+        points = {"a": (F(1), F(0), F(2)), "b": (F(0), F(1), F(-1)), "c": (F(1), F(1), F(1)),
+                  "d": (F(2), F(-3), F(7)), "e": (F(0), F(0), F(1))}
+        colors = [[("a", "b"), ("b", "a"), ("c", "d")], [("d", "a"), ("a", "e"), ("b", "c")]]
+        cfg = build_configuration(Weight((1, 1)), 2, 2, colors, points)
+        factors = {"a": F(-3), "b": F(1, 2), "c": F(-5, 7), "d": F(4), "e": F(-1, 9)}
+        reps = {name: tuple(factors[name] * x for x in pt.coords) for name, pt in cfg.points.items()}
+        group_bases, tuple_group = oracle._span_groups(cfg, reps)
+        assert group_bases == [[reps["a"], reps["b"]], [reps["a"], reps["e"]]]
+        assert tuple_group == {("a", "b"): 0, ("b", "a"): 0, ("c", "d"): 0, ("d", "a"): 0, ("a", "e"): 1, ("b", "c"): 0}
+
+    def test_dependent_tuple_refused(self):
+        with pytest.raises(ValueError, match="^basis rows are linearly dependent$"):
+            oracle._plucker_key([(F(1), F(2), F(0)), (F(-1, 2), F(-1), F(0))])
 
 
 class TestBruteDegrees:
