@@ -188,6 +188,16 @@ class Configuration:
         return tuple(sorted(spans, key=key))
 
 
+def _shown_span(cfg: Configuration, span: Subspace) -> str:
+    """A span for a message: its text when at most 200 characters, otherwise
+    its dimension and the first tuple of ``cfg`` that spans it."""
+    text = str(span)
+    if len(text) <= 200:
+        return text
+    t = next((t for t, s in cfg.spans.items() if s == span), None)
+    return f"span of dimension {span.dim}" + ("" if t is None else f" through {_shown(t)}")
+
+
 def _as_rtuple(t) -> RTuple:
     """The r-tuple of a sequence of point names; a ``str`` is refused, not read as its letters."""
     if type(t) is tuple:
@@ -421,7 +431,7 @@ def validate_h(cfg: Configuration, weight: Weight | None = None) -> DegreeReport
             m = ratio(subspace_degrees[s])
             subspace_multiplicities[s] = m
             if m is None and failure is None:
-                failure = f"{s}: degrees {subspace_degrees[s]} not proportional to weight {w}"
+                failure = f"{_shown_span(cfg, s)}: degrees {subspace_degrees[s]} not proportional to weight {w}"
     else:
         point_quotients = {name: None for name in point_degrees}
         subspace_multiplicities = {s: None for s in subspace_degrees}

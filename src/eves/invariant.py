@@ -30,6 +30,7 @@ from .configuration import (
     ProjPoint,
     RTuple,
     Subspace,
+    _shown_span,
     build_configuration,
     validate_h,
 )
@@ -142,7 +143,7 @@ def _chosen_brackets(cfg: Configuration, choices: BasisChoice | None) -> Mapping
     for span, rows in choices.subspace_bases.items():
         rows = linalg.mat(rows)
         if any(len(row) != len(span.basis[0]) for row in rows) or linalg.rref(rows) != (span.basis, len(rows)):
-            raise ValueError(f"supplied basis does not span {span}")
+            raise ValueError(f"supplied basis does not span {_shown_span(cfg, span)}")
         dets[span] = _basis_det(span, rows)
     factors: dict[str, Fraction] = {}
     for name, rep in choices.point_reps.items():
@@ -231,7 +232,7 @@ def apply_morphism(cfg: Configuration, morphism: LinearMorphism) -> Configuratio
         # the images of the rows D·R: scaling a row by D leaves the rank as it is
         images = [integer_image(u) for u in subspace.scaled[1]]
         if len(linalg.integer_echelon_minor(images)[1]) != cfg.arity:
-            raise MorphismError(f"matrix is not injective on {subspace}")
+            raise MorphismError(f"matrix is not injective on {_shown_span(cfg, subspace)}")
 
     image_rows: dict[str, tuple[list[int], int]] = {}  # each image as an integer row over a denominator
     groups: dict[tuple[int, ...], list[str]] = {}

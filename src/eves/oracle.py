@@ -3,12 +3,12 @@
 Nothing here shares computational routines with the main pipeline: the scalar
 search tries every bounded rational directly against the defining equations,
 the finite-field enumeration builds equivalence classes as orbits, and the
-invariant is re-evaluated with cofactor determinants, Cramer solves, and a
-different representative normalization.  Span groups are keyed by
-normalized Plücker coordinates from the same cofactor minors, with no echelon
-form.  Admissibility is recounted from the list view ``Configuration.colors``,
-one occurrence at a time, over these groups, so the stored multiplicities are
-checked end to end.
+invariant is re-evaluated from cofactor minors with a different
+representative normalization.  Span groups are keyed by normalized Plücker
+coordinates, with no echelon form, and a tuple's bracket is the ratio of its
+lead minor to its group basis's lead minor.  Admissibility is recounted from
+the list view ``Configuration.colors``, one occurrence at a time, over these
+groups, so the stored multiplicities are checked end to end.
 """
 
 from __future__ import annotations
@@ -123,59 +123,35 @@ def _last_nonzero_scaled(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(x / pivot for x in v)
 
 
-def _cramer_coords(basis: list[tuple[Fraction, ...]], pivot_cols: tuple[int, ...], v: tuple[Fraction, ...]) -> list[Fraction]:
-    r = len(basis)
-    m = [[basis[i][c] for i in range(r)] for c in pivot_cols]
-    d = _cofactor_det(m)
-    target = [v[c] for c in pivot_cols]
-    coords = []
-    for i in range(r):
-        mi = [row[:i] + [t] + row[i + 1 :] for row, t in zip(m, target)]
-        coords.append(_cofactor_det(mi) / d)
-    # defensive full-equation check: the pivot columns determined the rest
-    for c in range(len(v)):
-        if sum(coords[i] * basis[i][c] for i in range(r)) != v[c]:
-            raise ValueError("vector is not in the span of the basis")
-    return coords
-
-
-def _pivot_columns(basis: list[tuple[Fraction, ...]]) -> tuple[int, ...]:
-    r = len(basis)
-    n_cols = len(basis[0])
-    for cols in combinations(range(n_cols), r):
-        m = [[basis[i][c] for i in range(r)] for c in cols]
-        if _cofactor_det(m) != 0:
-            return cols
-    raise ValueError("basis rows are linearly dependent")
-
-
-def _plucker_key(vectors: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+def _plucker(vectors: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], Fraction]:
     """The tuple's r×r minors, in column-combination order, divided by the first
-    nonzero one.  Scaling a member scales every minor alike, and so does any
-    change of basis of the span, so the key depends on the span alone."""
+    nonzero one, and that lead minor.  Scaling a member scales every minor
+    alike, and so does any change of basis of the span, so the key depends
+    on the span alone."""
     columns = combinations(range(len(vectors[0])), len(vectors))
     minors = [_cofactor_det([[v[c] for c in cols] for v in vectors]) for cols in columns]
     lead = next((m for m in minors if m != 0), None)
     if lead is None:
         raise ValueError("basis rows are linearly dependent")
-    return tuple(m / lead for m in minors)
+    return tuple(m / lead for m in minors), lead
 
 
-def _span_groups(cfg: Configuration, reps: dict[str, tuple[Fraction, ...]]) -> tuple[list[list[tuple[Fraction, ...]]], dict[RTuple, int]]:
-    """Distinct tuples grouped by ``_plucker_key``; each group's basis is the
-    representative tuple of its first occurrence (colors scanned in order)."""
-    group_bases: list[list[tuple[Fraction, ...]]] = []
+def _span_groups(cfg: Configuration, reps: dict[str, tuple[Fraction, ...]]) -> tuple[dict[RTuple, int], dict[RTuple, Fraction]]:
+    """Distinct tuples grouped by Plücker key, and each one's bracket in its
+    group's basis B, the representative tuple of the group's first occurrence
+    (colors scanned in order).  Every minor of a tuple M·B is det(M) times
+    B's, so the bracket det(M) is the ratio of the two lead minors."""
     tuple_group: dict[RTuple, int] = {}
-    groups: dict[tuple[Fraction, ...], int] = {}
+    brackets: dict[RTuple, Fraction] = {}
+    groups: dict[tuple[Fraction, ...], tuple[int, Fraction]] = {}
     for color in cfg.colors:
         for t in color:
             if t in tuple_group:
                 continue
-            vectors = [reps[name] for name in t]
-            idx = tuple_group[t] = groups.setdefault(_plucker_key(vectors), len(group_bases))
-            if idx == len(group_bases):
-                group_bases.append(vectors)
-    return group_bases, tuple_group
+            key, lead = _plucker([reps[name] for name in t])
+            tuple_group[t], basis_lead = groups.setdefault(key, (len(groups), lead))
+            brackets[t] = lead / basis_lead
+    return tuple_group, brackets
 
 
 def _integer_multiple(values: tuple[int, ...], parts: tuple[int, ...]) -> bool:
@@ -214,7 +190,7 @@ def brute_degrees(cfg: Configuration, weight: Weight | None = None) -> BruteDegr
     proportionality test of its own."""
     parts = (weight if weight is not None else cfg.weight).parts
     reps = {name: _last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}
-    return _recount(cfg, parts, _span_groups(cfg, reps)[1])
+    return _recount(cfg, parts, _span_groups(cfg, reps)[0])
 
 
 def report_matches_recount(cfg: Configuration, report: DegreeReport, weight: Weight | None = None) -> bool:
@@ -233,28 +209,17 @@ def brute_invariant(cfg: Configuration) -> InvariantValue:
 
     Representatives are scaled so the last nonzero coordinate is 1; each
     span's basis is the representative tuple of its first occurrence (colors
-    scanned in order); coordinates come from Cramer solves and determinants
-    from cofactor expansion.  Each distinct tuple is bracketed once, and its
-    bracket is multiplied in once per occurrence in the list view.  Spans are
-    grouped by normalized Plücker coordinates rather than echelon forms, and
-    admissibility is ``brute_degrees``' recount.
+    scanned in order), and a tuple's bracket is the ratio of its lead
+    Plücker minor to that basis's, minors by cofactor expansion.  Each
+    distinct tuple is bracketed once, and its bracket is multiplied in once
+    per occurrence in the list view.  Spans are grouped by normalized
+    Plücker coordinates rather than echelon forms, and admissibility is
+    ``brute_degrees``' recount.
     """
     reps = {name: _last_nonzero_scaled(pt.coords) for name, pt in cfg.points.items()}
-    group_bases, tuple_group = _span_groups(cfg, reps)
+    tuple_group, brackets = _span_groups(cfg, reps)
     if not _recount(cfg, cfg.weight.parts, tuple_group).h_valid:
         raise NotHConfigurationError("recounted degrees are not proportional to the weight")
 
-    pivots = [_pivot_columns(basis) for basis in group_bases]
-    brackets: dict[RTuple, Fraction] = {}
-    coords_out = []
-    for color in cfg.colors:
-        prod_c = Fraction(1)
-        for t in color:
-            value = brackets.get(t)
-            if value is None:
-                idx = tuple_group[t]
-                basis, cols = group_bases[idx], pivots[idx]
-                value = brackets[t] = _cofactor_det([_cramer_coords(basis, cols, reps[name]) for name in t])
-            prod_c *= value
-        coords_out.append(prod_c)
-    return InvariantValue(WeightedPoint(tuple(coords_out), cfg.weight))
+    coords = tuple(math.prod(brackets[t] for t in color) for color in cfg.colors)
+    return InvariantValue(WeightedPoint(coords, cfg.weight))

@@ -263,6 +263,36 @@ def test_mutated_fixtures_get_a_verdict_or_a_short_error(capsys, tmp_path):
                 assert "internal error" not in err and len(err.encode()) < 1024, (argv, err)
 
 
+def wide_document(*colors):
+    """Four unit points of P^500, weight (1,1): each span's text is over 3000 characters."""
+    points = {f"e{k}": ["1" if c == k else "0" for c in range(501)] for k in range(4)}
+    return {"field": "rational", "weight": [1, 1], "arity": 2, "dim": 500, "points": points, "colors": list(colors)}
+
+
+@pytest.mark.parametrize("command", ["validate", "invariant", "transform"])
+def test_wide_span_named_in_a_short_line(capsys, tmp_path, command):
+    """A span whose text is over 200 characters is named by its dimension and
+    the first tuple that spans it: in validate's failure line, in invariant's
+    error, and in transform's error for a matrix that kills e2 and e3."""
+    if command == "transform":
+        doc = wide_document([["e0", "e1"], ["e2", "e3"]], [["e0", "e1"], ["e2", "e3"]])
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps([["1"] + ["0"] * 500, ["0", "1"] + ["0"] * 499]))
+        extra = ["--matrix", str(matrix)]
+        expected = (2, "", "error: matrix is not injective on span of dimension 2 through ('e2', 'e3')\n")
+    else:
+        doc = wide_document([["e0", "e1"], ["e2", "e3"]], [["e0", "e2"], ["e1", "e3"]])
+        extra = []
+        failure = "span of dimension 2 through ('e2', 'e3'): degrees (1, 0) not proportional to weight (1,1)"
+        expected = (1, f"failure: {failure}\n", "") if command == "validate" else (2, "", f"error: {failure}\n")
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    last = out.splitlines(keepends=True)[-1] if out else ""
+    assert (code, last, err) == expected
+    assert len((last or err).encode()) < 200
+
+
 class TestInvariant:
     def test_cross_ratio_output(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "invariant", str(fixtures_dir / "cross_ratio_quadruple.json"))

@@ -355,6 +355,21 @@ class TestChoiceIndependence:
         with pytest.raises(ValueError, match="supplied basis does not span"):
             eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={line: ragged}))
 
+    def test_wide_span_named_in_a_short_line(self):
+        """A refused basis of a span whose text is over 200 characters names the
+        span by its dimension and the first tuple that spans it, or by its
+        dimension alone when no tuple of the configuration does."""
+        unit = [tuple(F(c == k) for c in range(501)) for k in range(6)]
+        points = {f"e{k}": row for k, row in enumerate(unit)}
+        colors = [[("e0", "e1"), ("e2", "e3")], [("e0", "e1"), ("e2", "e3")]]
+        cfg = build_configuration(Weight((1, 1)), 2, 500, colors, points)
+        foreign = Subspace((unit[4], unit[5]))
+        for span, name in [(cfg.spans["e2", "e3"], "span of dimension 2 through ('e2', 'e3')"),
+                           (foreign, "span of dimension 2")]:
+            with pytest.raises(ValueError) as info:
+                eves_invariant_with_choices(cfg, BasisChoice(subspace_bases={span: (unit[0], unit[1])}))
+            assert str(info.value) == f"supplied basis does not span {name}"
+
     def test_basis_of_another_span_rejected(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "eleven_point_chain.json")
         first, second = cfg.subspaces()[:2]

@@ -26,7 +26,7 @@ from eves import (
     linalg,
     wps_equivalent,
 )
-from eves.oracle import _cofactor_det, _cramer_coords, _pivot_columns, brute_invariant
+from eves.oracle import _cofactor_det, _plucker, brute_invariant
 from conftest import _in_span, det, random_h_configuration, random_simplex_configuration
 
 BIG = 10**12
@@ -57,6 +57,13 @@ def matrices(draw, square: bool = False):
     return [tuple(row) for row in rows]
 
 
+def lead_columns(rows) -> tuple[int, ...]:
+    """The columns of the first nonzero r×r minor of full-rank rows: those of
+    the first Plücker key entry equal to 1."""
+    key = _plucker(list(rows))[0]
+    return list(combinations(range(len(rows[0])), len(rows)))[key.index(1)]
+
+
 def oracle_rank(rows) -> int:
     """The largest k with a nonzero k-minor."""
     for k in range(len(rows), 0, -1):
@@ -72,20 +79,20 @@ def test_rref_rank_and_pivots_agree_with_minors(rows):
     reduced, rk = linalg.rref(rows)
     assert rk == len(reduced) == oracle_rank(rows) == linalg.rank(rows)
     if rk == len(rows):
-        assert Subspace(reduced).pivots == _pivot_columns(rows)
+        assert Subspace(reduced).pivots == lead_columns(rows)
     else:
         with pytest.raises(ValueError, match="dependent"):
-            _pivot_columns(rows)
+            _plucker(rows)
     if rk:  # a rank-0 matrix spans no Subspace: ``Subspace(())`` is refused
         assert all(_in_span(list(reduced), row) for row in rows)
-        assert Subspace(reduced).pivots == _pivot_columns(list(reduced))
+        assert Subspace(reduced).pivots == lead_columns(reduced)
 
 
 @given(matrices())
 def test_integer_echelon_is_primitive_and_scales_to_rref(rows):
     echelon, pivots, _ = linalg.integer_echelon_minor([linalg.clear_denominators(row)[0] for row in rows])
     reduced, rk = linalg.rref(rows)
-    assert pivots == (_pivot_columns(list(reduced)) if rk else ())
+    assert pivots == (lead_columns(reduced) if rk else ())
     for row, ref, c in zip(echelon, reduced, pivots):
         assert row[c] > 0 and math.gcd(*row) == 1
         assert tuple(F(x, row[c]) for x in row) == ref
@@ -196,13 +203,15 @@ def test_minor_is_the_determinant_in_the_echelon_basis(rows, data):
     span = Subspace(reduced)
     basis = list(reduced)
     coeffs = st.lists(st.lists(st.integers(-BIG, BIG), min_size=rk, max_size=rk), min_size=rk, max_size=rk)
-    members = [
-        linalg.clear_denominators([sum(a * row[c] for a, row in zip(combo, basis)) for c in range(len(basis[0]))])[0]
-        for combo in data.draw(coeffs)
+    combos = data.draw(coeffs)
+    # member k is combination k of R's rows times its lcm d_k, so its coordinates in R are d_k times the combination
+    cleared = [
+        linalg.clear_denominators([sum(a * row[c] for a, row in zip(combo, basis)) for c in range(len(basis[0]))])
+        for combo in combos
     ]
+    members = [u for u, _ in cleared]
     assert all(span.contains_integer(u) for u in members)
-    cols = _pivot_columns(basis)
-    assert span.minor(members) == _cofactor_det([_cramer_coords(basis, cols, tuple(u)) for u in members])
+    assert span.minor(members) == _cofactor_det(combos) * math.prod(d for _, d in cleared)
 
 
 @given(matrices(square=True))
@@ -230,7 +239,7 @@ def test_integer_det_agrees_with_det_in_closed_form_and_by_elimination(n, data):
 
 
 @given(st.integers(1, 4), st.data())
-def test_bracket_in_non_echelon_scaled_basis_agrees_with_cramer(r, data):
+def test_bracket_in_non_echelon_scaled_basis_is_read_off_its_construction(r, data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     width = data.draw(st.integers(r, 5))
     while True:
@@ -246,8 +255,8 @@ def test_bracket_in_non_echelon_scaled_basis_agrees_with_cramer(r, data):
     ]
     names = [f"m{k}" for k in range(r)]
     reps = {name: tuple(s * x for x in m) for name, s, m in zip(names, scales[r:], members)}
-    cols = _pivot_columns(basis)
-    expected = _cofactor_det([_cramer_coords(basis, cols, reps[name]) for name in names])
+    # the members are mix⁻¹ times the basis rows over their scales, so the bracket is a ratio of known factors
+    expected = math.prod(scales[r:]) / (_cofactor_det(mix) * math.prod(scales[:r]))
     assert bracket(RTuple(tuple(names)), basis, reps) == expected
 
 

@@ -9,6 +9,7 @@ from eves import (
     NotHConfigurationError,
     Weight,
     WeightedPoint,
+    bracket,
     build_configuration,
     eves_invariant,
     load_configuration,
@@ -138,19 +139,19 @@ class TestBruteInvariant:
             brute_invariant(cfg)
 
     def test_each_distinct_tuple_bracketed_once(self, fixtures_dir, monkeypatch):
-        """One Cramer solve per member of each distinct tuple, however often
-        the tuple occurs in the list view; the value is unchanged."""
+        """One Plücker key and lead per distinct tuple, however often the
+        tuple occurs in the list view; the value is unchanged."""
         parent = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
         expansion = unit_weight_expansion(restrict_pair(parent, 0, 2))
         calls = []
-        solve = oracle._cramer_coords
-        monkeypatch.setattr(oracle, "_cramer_coords", lambda *args: calls.append(args) or solve(*args))
+        plucker = oracle._plucker
+        monkeypatch.setattr(oracle, "_plucker", lambda vectors: calls.append(vectors) or plucker(vectors))
         for cfg in (parent, expansion):
             distinct = {t for color in cfg.colors for t in color}
             assert sum(map(len, cfg.colors)) > len(distinct)
             calls.clear()
             value = brute_invariant(cfg)
-            assert len(calls) == cfg.arity * len(distinct)
+            assert len(calls) == len(distinct)
             assert wps_equivalent(value.point, eves_invariant(cfg).point)
 
 
@@ -161,22 +162,35 @@ def last_nonzero_reps(cfg):
 class TestSpanGroups:
     """Span groups keyed by normalized Plücker coordinates, one key per distinct tuple."""
 
-    def test_matches_the_rank_test_scan(self, fixtures_dir):
+    def corpus(self, fixtures_dir):
         rng = random.Random(11)
         cfgs = [load_configuration(path) for path in sorted(fixtures_dir.glob("*.json"))
                 if path.name != "projection_matrix.json"]
         cfgs += [random_h_configuration(rng) for _ in range(100)]
         cfgs += [random_simplex_configuration(rng) for _ in range(100)]
         cfgs.append(parse_configuration(json.dumps(lines_document(random.Random(5), 20, 8))))
-        for cfg in cfgs:
+        return cfgs
+
+    def test_matches_the_rank_test_scan(self, fixtures_dir):
+        for cfg in self.corpus(fixtures_dir):
             reps = last_nonzero_reps(cfg)
-            assert oracle._span_groups(cfg, reps) == span_groups_by_rank_tests(cfg, reps)
+            assert oracle._span_groups(cfg, reps)[0] == span_groups_by_rank_tests(cfg, reps)[1]
+
+    def test_brackets_agree_with_the_pipeline_bracket(self, fixtures_dir):
+        """Each lead-minor ratio equals ``eves.bracket`` in the reference scan's group basis."""
+        for cfg in self.corpus(fixtures_dir):
+            reps = last_nonzero_reps(cfg)
+            tuple_group, brackets = oracle._span_groups(cfg, reps)
+            group_bases = span_groups_by_rank_tests(cfg, reps)[0]
+            assert brackets.keys() == tuple_group.keys()
+            for t, value in brackets.items():
+                assert value == bracket(t, group_bases[tuple_group[t]], reps)
 
     def test_one_key_per_distinct_tuple(self, monkeypatch):
         cfg = parse_configuration(json.dumps(lines_document(random.Random(5), 40, 8)))
         calls = []
-        key = oracle._plucker_key
-        monkeypatch.setattr(oracle, "_plucker_key", lambda vectors: calls.append(vectors) or key(vectors))
+        plucker = oracle._plucker
+        monkeypatch.setattr(oracle, "_plucker", lambda vectors: calls.append(vectors) or plucker(vectors))
         value = brute_invariant(cfg)
         distinct = {t for color in cfg.colors for t in color}
         assert len(calls) == len(distinct) < sum(map(len, cfg.colors)) == 1280
@@ -190,13 +204,14 @@ class TestSpanGroups:
         cfg = build_configuration(Weight((1, 1)), 2, 2, colors, points)
         factors = {"a": F(-3), "b": F(1, 2), "c": F(-5, 7), "d": F(4), "e": F(-1, 9)}
         reps = {name: tuple(factors[name] * x for x in pt.coords) for name, pt in cfg.points.items()}
-        group_bases, tuple_group = oracle._span_groups(cfg, reps)
-        assert group_bases == [[reps["a"], reps["b"]], [reps["a"], reps["e"]]]
+        tuple_group, brackets = oracle._span_groups(cfg, reps)
         assert tuple_group == {("a", "b"): 0, ("b", "a"): 0, ("c", "d"): 0, ("d", "a"): 0, ("a", "e"): 1, ("b", "c"): 0}
+        # each group's basis is its first tuple: ("a", "b") and ("a", "e")
+        assert (brackets["a", "b"], brackets["b", "a"], brackets["a", "e"]) == (1, -1, 1)
 
     def test_dependent_tuple_refused(self):
         with pytest.raises(ValueError, match="^basis rows are linearly dependent$"):
-            oracle._plucker_key([(F(1), F(2), F(0)), (F(-1, 2), F(-1), F(0))])
+            oracle._plucker([(F(1), F(2), F(0)), (F(-1, 2), F(-1), F(0))])
 
 
 class TestBruteDegrees:
