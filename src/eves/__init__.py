@@ -33,7 +33,6 @@ from .reconstruct import (
     CompareReport,
     check_reconstruction_identity,
     compare,
-    restrict_pair,
     unit_weight_expansion,
 )
 from .wps import (

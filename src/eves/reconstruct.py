@@ -8,9 +8,10 @@ E_p does; over non-reconstructible weights it distinguishes strictly fewer.
 
 ``check_reconstruction_identity`` is the independent check of that claim.
 The classical invariant of the pair (S_i, S_j), expanded to weight (1,1) by
-repeating each tuple of the lists a and b times, is [X_i^a : X_j^b], where
-X_c is the product of color c's brackets and (a, b) are the exponents of the
-projection, read from ``pair_exponents``.  So the check brackets each
+``unit_weight_expansion(cfg, i, j)``, which multiplies the multiplicities of
+colors i and j by a and b, is [X_i^a : X_j^b], where X_c is the product of
+color c's brackets and (a, b) are the exponents of the projection, read from
+``pair_exponents``.  So the check brackets each
 distinct tuple of the configuration once, through the public ``bracket``
 with its membership check, rather than reading the table stored when the
 configuration was built.  It brackets the members' integer rows and divides
@@ -18,8 +19,7 @@ by the product of their leads, which is the bracket of the canonical
 representatives, so it builds no ``Fraction`` coordinates.  It forms one
 product X_c per color from that table, and ``projections_agree`` checks one
 equation per pair.  Each pair's admissibility is still checked on its
-expansion, which shares the parent's points, tuples and spans and
-multiplies the counts by a and b.
+expansion, which shares the parent's points, spans and brackets.
 
 ``compare`` takes its pair verdicts from ``projections_agree`` too, and runs
 ``wps_equivalent`` only when every pair agrees: equivalent invariants agree.
@@ -41,50 +41,34 @@ from .wps import (
 @dataclass(frozen=True)
 class CompareReport:
     ep_equivalent: bool
-    reconstruction_equal: bool
     pair_equal: tuple[bool, ...]
     invariant_a: WeightedPoint
     invariant_b: WeightedPoint
+
+    @property
+    def reconstruction_equal(self) -> bool:
+        return all(self.pair_equal)
 
     def __post_init__(self) -> None:
         if self.ep_equivalent and not self.reconstruction_equal:
             raise ValueError("equivalent invariants cannot have differing reconstructions")
 
 
-def restrict_pair(cfg: Configuration, i: int, j: int) -> Configuration:
-    """The two-color configuration (S_i, S_j) under weight (p_i, p_j).
-
-    It shares the parent's tuples, points, spans and brackets.
-    """
-    n = len(cfg.weight.parts) - 1
-    if not (0 <= i < j <= n):
-        raise ValueError(f"color pair ({i},{j}) out of range for {n + 1} colors")
-    parts = (cfg.weight.parts[i], cfg.weight.parts[j])
-    counts = (cfg.counts[i], cfg.counts[j])
-    used = {name for color in counts for t in color for name in t}
-    points = {name: cfg.points[name] for name in sorted(used)}
-    spans = {t: cfg.spans[t] for color in counts for t in color}
+def unit_weight_expansion(cfg: Configuration, i: int, j: int) -> Configuration:
+    """The classical configuration of color pair (i, j): weight (1,1), color
+    i's multiplicities times a and color j's times b, with (a, b) from
+    ``pair_exponents``, so ell gains a factor lcm(p_i, p_j), admissibility is
+    inherited and [X_i^a : X_j^b] is its invariant.  Its points and spans are
+    the parent's own, restricted to the pair; its bracket table is the parent's."""
+    exponents = {(p, q): (a, b) for p, q, a, b in pair_exponents(cfg.weight)}
+    if (i, j) not in exponents:
+        raise ValueError(f"color pair ({i},{j}) out of range for {len(cfg.weight.parts)} colors")
+    counts = tuple({t: k * m for t, k in cfg.counts[c].items()} for c, m in zip((i, j), exponents[i, j]))
+    used = sorted({name for color in counts for t in color for name in t})
     return Configuration(
-        Weight(parts, cfg.weight.field), cfg.arity, cfg.dim, counts, points, spans, cfg.brackets
-    )
-
-
-def unit_weight_expansion(pair_cfg: Configuration) -> Configuration:
-    """Repeat each tuple of the two color lists up to the lcm of their weight parts.
-
-    The result is a weight (1,1) configuration with ell multiplied by the lcm;
-    admissibility is inherited from the weighted input.  The multiplicities
-    of the two colors are multiplied by the exponents (a, b) of
-    ``pair_exponents``, which make [X_i^a : X_j^b] the expansion's invariant;
-    the points, spans and brackets are the input's own.
-    """
-    if len(pair_cfg.weight.parts) != 2:
-        raise ValueError("expansion takes a two-color configuration")
-    ((_, _, a, b),) = pair_exponents(pair_cfg.weight)
-    counts = tuple({t: k * m for t, k in color.items()} for color, m in zip(pair_cfg.counts, (a, b)))
-    return Configuration(
-        Weight((1, 1), pair_cfg.weight.field), pair_cfg.arity, pair_cfg.dim,
-        counts, pair_cfg.points, pair_cfg.spans, pair_cfg.brackets,
+        Weight((1, 1), cfg.weight.field), cfg.arity, cfg.dim, counts,
+        {name: cfg.points[name] for name in used}, {t: cfg.spans[t] for color in counts for t in color},
+        cfg.brackets,
     )
 
 
@@ -99,8 +83,9 @@ def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bo
     bracket over the product of the members' leads.  Each color's product
     X_c of those brackets is formed once.  The expansion of
     pair (i, j) is [X_i^a : X_j^b], so ``projections_agree(X, full)`` decides
-    it; each expansion must pass the admissibility check before its verdict
-    is read.  A ``full`` of another weight raises ``ValueError``."""
+    it; each ``unit_weight_expansion(cfg, i, j)`` must pass the admissibility
+    check before its verdict is read.  A ``full`` of another weight raises
+    ``ValueError``."""
     rows = {name: pt.row for name, pt in cfg.points.items()}
     brackets = {
         t: (bracket(t, span, rows).numerator, math.prod(cfg.points[name].lead for name in t))
@@ -108,7 +93,7 @@ def check_reconstruction_identity(cfg: Configuration, full: WeightedPoint) -> bo
     }
     agree = projections_agree(WeightedPoint(_color_products(cfg, brackets), cfg.weight), full)
     for (i, j), ok in zip(index_pairs(cfg.weight), agree):
-        _require_h(unit_weight_expansion(restrict_pair(cfg, i, j)))
+        _require_h(unit_weight_expansion(cfg, i, j))
         if not ok:
             return False
     return True
@@ -125,7 +110,6 @@ def compare(cfg_a: Configuration, cfg_b: Configuration) -> CompareReport:
     pair_equal = projections_agree(inv_a, inv_b)
     return CompareReport(
         ep_equivalent=all(pair_equal) and wps_equivalent(inv_a, inv_b),
-        reconstruction_equal=all(pair_equal),
         pair_equal=pair_equal,
         invariant_a=inv_a,
         invariant_b=inv_b,

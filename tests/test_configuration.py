@@ -24,7 +24,7 @@ from eves import (
 )
 from eves import configuration, linalg
 from eves.invariant import LinearMorphism, apply_morphism, eves_invariant
-from eves.reconstruct import restrict_pair, unit_weight_expansion
+from eves.reconstruct import unit_weight_expansion
 from eves.wps import MAX_RATIONAL_CHARS, format_rational, parse_rational
 from conftest import mat_vec, random_h_configuration, random_invertible_matrix, random_simplex_configuration
 
@@ -511,10 +511,10 @@ class TestValidateH:
 
     def test_pair_02_invalid_as_unit_weight(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        pair = restrict_pair(cfg, 0, 2)
-        assert pair.weight.parts == (2, 4)
-        assert validate_h(pair).h_valid
-        report = validate_h(pair, Weight((1, 1)))
+        # colors 0 and 2 of weight (2,2,4) are admissible at weight (1,1) only once expanded
+        expansion = unit_weight_expansion(cfg, 0, 2)
+        assert validate_h(expansion).h_valid
+        report = validate_h(replace(expansion, counts=(cfg.counts[0], cfg.counts[2])))
         assert not report.h_valid
         assert report.first_failure is not None
 
@@ -568,9 +568,7 @@ class TestValidateH:
             n = len(cfg.weight.parts)
             for i in range(n):
                 for j in range(i + 1, n):
-                    pair = restrict_pair(cfg, i, j)
-                    assert validate_h(pair).h_valid
-                    assert validate_h(unit_weight_expansion(pair)).h_valid
+                    assert validate_h(unit_weight_expansion(cfg, i, j)).h_valid
 
 
 class TestProvenSpans:

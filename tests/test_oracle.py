@@ -24,7 +24,7 @@ from eves.oracle import (
     ff_enumerate_classes,
     report_matches_recount,
 )
-from eves.reconstruct import restrict_pair, unit_weight_expansion
+from eves.reconstruct import unit_weight_expansion
 from conftest import random_h_configuration, random_simplex_configuration, span_groups_by_rank_tests
 from test_golden_cli import lines_document
 
@@ -142,7 +142,7 @@ class TestBruteInvariant:
         """One Plücker key and lead per distinct tuple, however often the
         tuple occurs in the list view; the value is unchanged."""
         parent = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        expansion = unit_weight_expansion(restrict_pair(parent, 0, 2))
+        expansion = unit_weight_expansion(parent, 0, 2)
         calls = []
         plucker = oracle._plucker
         monkeypatch.setattr(oracle, "_plucker", lambda vectors: calls.append(vectors) or plucker(vectors))

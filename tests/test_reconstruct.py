@@ -21,7 +21,6 @@ from eves import (
     eves_invariant,
     load_configuration,
     parse_configuration,
-    restrict_pair,
     unit_weight_expansion,
     validate_h,
     wps_equivalent,
@@ -49,60 +48,45 @@ ONE_ONE = WeightedPoint((F(1), F(1)), Weight((1, 1)))
 
 
 class TestRestrictPair:
+    """Color pairs taken from a configuration by ``unit_weight_expansion(cfg, i, j)``."""
+
     def test_black_red_pair_of_midpoint_triangle(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        pair = restrict_pair(cfg, 0, 1)
-        assert pair.weight.parts == (2, 2)
-        assert validate_h(pair).h_valid
-        entry = eves_invariant(unit_weight_expansion(pair)).point
-        assert wps_equivalent(entry, ONE_ONE)
-
-    def test_mixed_weight_pair(self, fixtures_dir):
-        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        pair = restrict_pair(cfg, 0, 2)
-        assert pair.weight.parts == (2, 4)
-        assert validate_h(pair).h_valid
-        assert not validate_h(pair, Weight((1, 1))).h_valid
-
-    def test_two_color_input_is_identity(self, fixtures_dir):
-        cfg = load_configuration(fixtures_dir / "segment_pair_aligned.json")
-        pair = restrict_pair(cfg, 0, 1)
-        assert pair.colors == cfg.colors
-        assert pair.weight == cfg.weight
+        expanded = unit_weight_expansion(cfg, 0, 1)
+        assert expanded.weight.parts == (1, 1)
+        assert expanded.ell == cfg.ell * 2
+        assert validate_h(expanded).h_valid
+        assert wps_equivalent(eves_invariant(expanded).point, ONE_ONE)
 
     def test_index_range(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "segment_pair_aligned.json")
-        with pytest.raises(ValueError, match="out of range"):
-            restrict_pair(cfg, 0, 2)
+        for i, j in ((0, 2), (1, 0), (0, 0), (-1, 1)):
+            with pytest.raises(ValueError, match=rf"^color pair \({i},{j}\) out of range for 2 colors$"):
+                unit_weight_expansion(cfg, i, j)
 
 
 class TestUnitWeightExpansion:
     def test_equal_parts_unchanged(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "segment_pair_opposed.json")
-        expanded = unit_weight_expansion(cfg)
+        expanded = unit_weight_expansion(cfg, 0, 1)
         assert expanded.weight.parts == (1, 1)
         assert expanded.colors == cfg.colors
         assert expanded.ell == cfg.ell * 2
 
     def test_mixed_weights_duplicate_shorter_list(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        pair = restrict_pair(cfg, 0, 2)
-        expanded = unit_weight_expansion(pair)
+        assert cfg.weight.parts == (2, 2, 4)
+        expanded = unit_weight_expansion(cfg, 0, 2)
         assert expanded.weight.parts == (1, 1)
-        assert len(expanded.colors[0]) == 2 * len(pair.colors[0])
-        assert len(expanded.colors[1]) == len(pair.colors[1])
-        assert expanded.ell == pair.ell * 4
+        assert len(expanded.colors[0]) == 2 * len(cfg.colors[0])
+        assert len(expanded.colors[1]) == len(cfg.colors[2])
+        assert expanded.ell == cfg.ell * 4
         assert validate_h(expanded).h_valid
 
     def test_trivial_weight_identity(self, fixtures_dir):
         cfg = load_configuration(fixtures_dir / "cross_ratio_quadruple.json")
-        expanded = unit_weight_expansion(cfg)
+        expanded = unit_weight_expansion(cfg, 0, 1)
         assert expanded.colors == cfg.colors and expanded.ell == cfg.ell
-
-    def test_requires_two_colors(self, fixtures_dir):
-        cfg = load_configuration(fixtures_dir / "midpoint_triangle_aligned.json")
-        with pytest.raises(ValueError, match="two-color"):
-            unit_weight_expansion(cfg)
 
 
 def derived_corpus():
@@ -126,32 +110,23 @@ def assert_same_configuration(derived, built, parent):
 
 
 class TestDerivedConfigurations:
-    """Pairs and expansions equal what build_configuration makes of the same lists."""
-
-    def test_restrict_pair_matches_build(self):
-        for cfg in derived_corpus():
-            for i, j in index_pairs(cfg.weight):
-                colors = [cfg.colors[i], cfg.colors[j]]
-                used = sorted({name for color in colors for t in color for name in t})
-                built = build_configuration(
-                    Weight((cfg.weight.parts[i], cfg.weight.parts[j])), cfg.arity, cfg.dim,
-                    colors, {name: cfg.points[name] for name in used},
-                )
-                pair = restrict_pair(cfg, i, j)
-                assert_same_configuration(pair, built, cfg)
-                assert pair.ell == cfg.ell
+    """Pair expansions equal what build_configuration makes of the same lists."""
 
     def test_unit_weight_expansion_matches_build(self):
         for cfg in derived_corpus():
             for i, j in index_pairs(cfg.weight):
-                pair = restrict_pair(cfg, i, j)
-                p_i, p_j = pair.weight.parts
+                p_i, p_j = cfg.weight.parts[i], cfg.weight.parts[j]
                 lcm = math.lcm(p_i, p_j)
-                colors = [list(pair.colors[0]) * (lcm // p_i), list(pair.colors[1]) * (lcm // p_j)]
-                built = build_configuration(Weight((1, 1)), pair.arity, pair.dim, colors, pair.points)
-                expansion = unit_weight_expansion(pair)
+                colors = [list(cfg.colors[i]) * (lcm // p_i), list(cfg.colors[j]) * (lcm // p_j)]
+                used = sorted({name for color in colors for t in color for name in t})
+                built = build_configuration(
+                    Weight((1, 1), cfg.weight.field), cfg.arity, cfg.dim,
+                    colors, {name: cfg.points[name] for name in used},
+                )
+                expansion = unit_weight_expansion(cfg, i, j)
                 assert_same_configuration(expansion, built, cfg)
-                assert expansion.ell == pair.ell * lcm
+                assert expansion.brackets is cfg.brackets
+                assert expansion.ell == cfg.ell * lcm
                 assert expansion.colors == tuple(tuple(sorted(c)) for c in colors)
 
 
@@ -181,14 +156,12 @@ def corpus_with_inputs(monkeypatch):
 
 
 def derived_with_lists(cfg, lists):
-    """cfg and every color pair of it and its unit-weight expansion, each with
+    """cfg and the unit-weight expansion of every color pair of it, each with
     the input lists it stands for, as made from cfg's input lists."""
     yield cfg, lists
     for i, j in index_pairs(cfg.weight):
-        pair = restrict_pair(cfg, i, j)
-        yield pair, [lists[i], lists[j]]
-        lcm = math.lcm(*pair.weight.parts)
-        yield unit_weight_expansion(pair), [list(lists[c]) * (lcm // cfg.weight.parts[c]) for c in (i, j)]
+        lcm = math.lcm(cfg.weight.parts[i], cfg.weight.parts[j])
+        yield unit_weight_expansion(cfg, i, j), [list(lists[c]) * (lcm // cfg.weight.parts[c]) for c in (i, j)]
 
 
 def naive_degrees(cfg):
@@ -235,23 +208,25 @@ class TestCounts:
     def test_identity_check_expands_counts(self, monkeypatch):
         expansions = []
 
-        def capture(pair):
-            expansions.append((pair, unit_weight_expansion(pair)))
-            return expansions[-1][1]
+        def capture(parent, i, j):
+            expansions.append((parent, (i, j), unit_weight_expansion(parent, i, j)))
+            return expansions[-1][2]
 
         corpus = [cfg for cfg, _ in corpus_with_inputs(monkeypatch) if validate_h(cfg).h_valid]
         monkeypatch.setattr(reconstruct, "unit_weight_expansion", capture)
         for cfg in corpus:
             expansions.clear()
             assert check_reconstruction_identity(cfg, eves_invariant(cfg).point)
-            assert len(expansions) == len(index_pairs(cfg.weight))
-            for pair, expansion in expansions:
-                lcm = math.lcm(*pair.weight.parts)
+            assert [pair for _, pair, _ in expansions] == list(index_pairs(cfg.weight))
+            for parent, pair, expansion in expansions:
+                assert parent is cfg
+                parts = [cfg.weight.parts[c] for c in pair]
+                lcm = math.lcm(*parts)
+                assert expansion.weight == Weight((1, 1), cfg.weight.field)
                 assert expansion.counts == tuple(
-                    {t: k * (lcm // p) for t, k in color.items()}
-                    for color, p in zip(pair.counts, pair.weight.parts)
+                    {t: k * (lcm // p) for t, k in cfg.counts[c].items()} for c, p in zip(pair, parts)
                 )
-                assert [list(c) for c in expansion.counts] == [list(c) for c in pair.counts]
+                assert [list(c) for c in expansion.counts] == [list(cfg.counts[c]) for c in pair]
                 assert "colors" not in vars(expansion)
 
 
@@ -273,7 +248,7 @@ class TestReconstructionVector:
 def expansion_coords(cfg):
     """Coordinates of each pair expansion's classical invariant, lexicographic pair order."""
     return [
-        eves_invariant(unit_weight_expansion(restrict_pair(cfg, i, j))).point.coords
+        eves_invariant(unit_weight_expansion(cfg, i, j)).point.coords
         for i, j in index_pairs(cfg.weight)
     ]
 
@@ -290,10 +265,20 @@ class TestEntriesFromInvariant:
             assert entries == expansion_coords(cfg), path.name
 
     def test_random_corpus(self):
+        # each pair's expansion is admissible with ell times lcm(p_i, p_j), and its
+        # invariant is the product_map entry, coordinate for coordinate
         rng = random.Random(31)
-        for _ in range(40):
-            cfg = random_h_configuration(rng)
-            assert [e.coords for e in product_map(eves_invariant(cfg).point)] == expansion_coords(cfg)
+        for n_colors in (3, 4):
+            for make in (random_h_configuration, random_simplex_configuration):
+                for _ in range(8):
+                    cfg = make(rng, parts=tuple(rng.randint(1, 3) for _ in range(n_colors)))
+                    entries = product_map(eves_invariant(cfg).point)
+                    for (i, j), entry in zip(index_pairs(cfg.weight), entries, strict=True):
+                        expansion = unit_weight_expansion(cfg, i, j)
+                        report = validate_h(expansion)
+                        assert report.h_valid
+                        assert report.ell == cfg.ell * math.lcm(cfg.weight.parts[i], cfg.weight.parts[j])
+                        assert eves_invariant(expansion).point.coords == entry.coords
 
     def test_admissible_expansion_of_non_admissible_input(self):
         # weight (2,2) with every point of degrees (1,1): the quotient 1/2 is not
@@ -302,7 +287,7 @@ class TestEntriesFromInvariant:
         colors = [[("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")]]
         cfg = build_configuration(Weight((2, 2)), 2, 1, colors, points)
         assert not validate_h(cfg).h_valid
-        assert validate_h(unit_weight_expansion(restrict_pair(cfg, 0, 1))).h_valid
+        assert validate_h(unit_weight_expansion(cfg, 0, 1)).h_valid
         with pytest.raises(NotHConfigurationError, match="point 'a'"):
             eves_invariant(cfg)
 
@@ -351,7 +336,7 @@ def per_pair_identity(cfg, full):
     reps = canonical_point_reps(cfg)
     checked = replace(cfg, brackets={t: bracket(t, span, reps).as_integer_ratio() for t, span in cfg.spans.items()})
     return all(
-        wps_equivalent(eves_invariant(unit_weight_expansion(restrict_pair(checked, i, j))).point, entry)
+        wps_equivalent(eves_invariant(unit_weight_expansion(checked, i, j)).point, entry)
         for (i, j), entry in zip(index_pairs(full.weight), product_map(full))
     )
 
@@ -484,6 +469,7 @@ class TestCompare:
             inv_a, inv_b = report.invariant_a, report.invariant_b
             assert report.pair_equal == projections_agree_by_equivalence(inv_a, inv_b)
             assert report.ep_equivalent == wps_equivalent(inv_a, inv_b)
+            assert report.reconstruction_equal == all(report.pair_equal)
             # one equivalence test at most, and none once a pair differs
             assert len(calls) == (1 if report.reconstruction_equal else 0)
 
@@ -505,7 +491,6 @@ class TestCompare:
         with pytest.raises(ValueError):
             CompareReport(
                 ep_equivalent=True,
-                reconstruction_equal=False,
                 pair_equal=(False,),
                 invariant_a=pt,
                 invariant_b=other,
@@ -578,7 +563,7 @@ class TestOracleConsistency:
         for cfg in oracle_corpus():
             full = eves_invariant(cfg).point
             for (i, j), entry in zip(index_pairs(full.weight), product_map(full)):
-                expansion = unit_weight_expansion(restrict_pair(cfg, i, j))
+                expansion = unit_weight_expansion(cfg, i, j)
                 assert wps_equivalent(entry, brute_invariant(expansion).point)
             assert wps_equivalent(full, brute_invariant(cfg).point)
 
